@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +34,10 @@ MAX_COUNT = (1 << 63) - 1
 _STEP_SAFE_TOTAL = MAX_COUNT // 2
 
 _PROB_TOL = 1e-12
+
+# Added to a divisor that is zero only where its numerator is zero too: it
+# turns 0/0 into 0 and leaves every quotient of normal numbers unchanged.
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -227,28 +232,81 @@ def extinction_probability(dist: OffspringDistribution) -> float:
     return dist.p0 / dist.p2
 
 
+def advance(
+    alive: np.ndarray,
+    dead: np.ndarray,
+    p0: np.ndarray | float,
+    p1: np.ndarray | float,
+    p2: np.ndarray | float,
+    n_generations: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance wells of any shape ``n`` generations in lockstep.
+
+    This is the one sampling kernel of the package. ``alive`` and ``dead``
+    hold per-well counts; ``p0``, ``p1`` and ``p2`` are per-well fate
+    probabilities broadcastable against them, so lanes with different
+    offspring means go through in one call. Each generation draws, for every
+    well at once,
+
+    - under death-or-divide (every ``p1`` zero): ``D2 ~ Bin(alive, p2)``;
+    - otherwise: ``D0 ~ Bin(alive, p0)``, then
+      ``D1 ~ Bin(alive - D0, p1 / (p1 + p2))`` and ``D2 = alive - D0 - D1``,
+
+    and moves to ``(D1 + 2*D2, dead + D0)``. Both are the multinomial law of
+    the per-cell fates, aggregated.
+
+    Returns:
+        ``(alive, dead)`` as new int64 arrays, of the broadcast shape of all
+        inputs once a generation has run.
+
+    Raises:
+        CountOverflowError: if before some generation the largest live count
+            plus the largest dead count exceeds ``MAX_COUNT // 2``, so a
+            total could overflow ``MAX_COUNT`` within that generation.
+    """
+    _check_generations(n_generations, minimum=0)
+    alive = np.asarray(alive, dtype=np.int64)
+    dead = np.asarray(dead, dtype=np.int64)
+    general = np.count_nonzero(p1) > 0
+    if general:
+        # renormalize away the <=1e-12 slack allowed by OffspringDistribution
+        # so that neither binomial ever sees a probability above one
+        rest = p1 + p2
+        p_die = p0 / (p0 + rest)
+        p_stay = p1 / (rest + _TINY)
+    for _ in range(n_generations):
+        # Python ints, so the sum cannot wrap
+        if int(alive.max(initial=0)) + int(dead.max(initial=0)) > _STEP_SAFE_TOTAL:
+            raise CountOverflowError(
+                f"total count may overflow {MAX_COUNT} in one generation"
+            )
+        if general:
+            d0 = rng.binomial(alive, p_die)
+            d1 = rng.binomial(alive - d0, p_stay)
+            d2 = alive - d0 - d1
+            alive, dead = d1 + 2 * d2, dead + d0
+        else:
+            d2 = rng.binomial(alive, p2)
+            alive, dead = 2 * d2, dead + (alive - d2)
+    return alive, dead
+
+
 def step(
     state: PopulationState, dist: OffspringDistribution, rng: np.random.Generator
 ) -> PopulationState:
-    """Advance one generation by aggregate multinomial sampling.
+    """Advance one well one generation through ``advance``.
 
-    Draws ``(D0, D1, D2) ~ Multinomial(alive; p0, p1, p2)`` in one call and
-    returns ``(D1 + 2*D2, dead + D0)``. This is distributed identically to
-    sampling each cell's fate separately but stays O(1) per generation even
-    for populations in the millions.
+    Aggregate sampling is distributed identically to sampling each cell's
+    fate separately but stays O(1) per generation even for populations in
+    the millions.
 
     Raises:
         CountOverflowError: if the total count could exceed ``MAX_COUNT``
             after this step.
     """
-    if state.total > _STEP_SAFE_TOTAL:
-        raise CountOverflowError(
-            f"total count {state.total} may overflow {MAX_COUNT} in one generation"
-        )
-    if state.alive == 0:
-        return PopulationState(0, state.dead, state.generation + 1)
-    d0, d1, d2 = (int(v) for v in rng.multinomial(state.alive, _pvals(dist)))
-    return PopulationState(d1 + 2 * d2, state.dead + d0, state.generation + 1)
+    alive, dead = advance(state.alive, state.dead, dist.p0, dist.p1, dist.p2, 1, rng)
+    return PopulationState(int(alive), int(dead), state.generation + 1)
 
 
 def simulate(
@@ -280,53 +338,43 @@ def simulate(
 
 def simulate_batch(
     x0: int,
-    dist: OffspringDistribution,
+    dist: OffspringDistribution | Sequence[OffspringDistribution],
     n_generations: int,
     replicates: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate many independent trajectories in lockstep.
+    """Simulate many independent trajectories in lockstep, in one ``advance`` call.
 
-    All replicates advance one generation at a time through a single
-    vectorized multinomial draw, which is how the measurement layer keeps
-    Monte Carlo studies fast. Each replicate's law is identical to
-    ``simulate``.
+    Each replicate's law is identical to ``simulate``.
 
     Args:
         x0: Initial live count shared by every replicate, >= 1.
-        dist: Offspring distribution.
+        dist: Offspring distribution of every replicate, or a sequence of
+            distributions, one per lane of ``replicates`` wells.
         n_generations: Number of steps to take.
-        replicates: Number of independent trajectories, >= 1.
+        replicates: Number of independent trajectories per distribution, >= 1.
         rng: Source of randomness.
 
     Returns:
-        ``(alive, dead)`` int64 arrays of shape ``(replicates,)`` holding the
-        final generation's counts.
+        ``(alive, dead)`` int64 arrays holding the final generation's counts,
+        of shape ``(replicates,)`` for one distribution and
+        ``(len(dist), replicates)`` for a sequence.
     """
     if x0 < 1:
         raise InvalidParameterError(f"x0 must be >= 1, got {x0!r}")
     if replicates < 1:
         raise InvalidParameterError(f"replicates must be >= 1, got {replicates!r}")
-    _check_generations(n_generations, minimum=0)
-    pvals = _pvals(dist)
-    alive = np.full(replicates, x0, dtype=np.int64)
-    dead = np.zeros(replicates, dtype=np.int64)
-    for _ in range(n_generations):
-        if int(alive.max()) + int(dead.max()) > _STEP_SAFE_TOTAL:
-            raise CountOverflowError(
-                f"total count may overflow {MAX_COUNT} in one generation"
-            )
-        draws = rng.multinomial(alive, pvals)
-        alive = draws[:, 1] + 2 * draws[:, 2]
-        dead += draws[:, 0]
-    return alive, dead
-
-
-def _pvals(dist: OffspringDistribution) -> np.ndarray:
-    # Renormalize away the <=1e-12 slack allowed by the type invariant, so
-    # numpy's multinomial never sees probabilities summing above one.
-    p = np.array([dist.p0, dist.p1, dist.p2], dtype=float)
-    return p / p.sum()
+    if isinstance(dist, OffspringDistribution):
+        shape = (replicates,)
+        probs = (dist.p0, dist.p1, dist.p2)
+    else:
+        shape = (len(dist), replicates)
+        table = np.array([(d.p0, d.p1, d.p2) for d in dist], dtype=float).reshape(-1, 3)
+        # one contiguous (lanes, 1) column per fate probability: the binomial
+        # sampler is markedly slower on strided probabilities
+        probs = np.ascontiguousarray(table.T)[..., None]
+    alive = np.full(shape, x0, dtype=np.int64)
+    return advance(alive, np.zeros_like(alive), *probs, n_generations, rng)
 
 
 def _check_generations(n_generations: int, minimum: int) -> None:

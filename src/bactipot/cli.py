@@ -28,7 +28,13 @@ import sys
 from datetime import datetime, timezone
 from typing import IO, Sequence
 
-from .branching import GrowthParams, OffspringDistribution, dist_from_mean, simulate
+from .branching import (
+    GrowthParams,
+    OffspringDistribution,
+    dist_from_mean,
+    simulate,
+    simulate_batch,
+)
 from .errors import BactipotError
 from .harness import (
     McStudyConfig,
@@ -130,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker processes (default: available parallelism)",
+        help="accepted for compatibility, >= 1; studies always run in one process",
     )
     _add_common(p)
     p.set_defaults(handler=_cmd_mc_study)
@@ -174,19 +180,26 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     dist = _offspring_from_args(args)
+    if args.reps < 1:
+        raise UsageError(f"--reps must be >= 1, got {args.reps}")
     seed = _effective_seed(args)
     _log_seed(seed)
+    # simulate first, so a run that fails leaves no partial output file
+    if args.reps == 1:
+        header = ["generation", "alive", "dead", "total"]
+        states = simulate(args.x0, dist, args.gens, spawn_rng(seed, 0))
+        rows = [[s.generation, s.alive, s.dead, s.total] for s in states]
+    else:
+        header = ["replicate", "alive", "dead", "total"]
+        alive, dead = simulate_batch(args.x0, dist, args.gens, args.reps, spawn_rng(seed, 0))
+        rows = [
+            [rep, a, d, a + d]
+            for rep, (a, d) in enumerate(zip(alive.tolist(), dead.tolist()), start=1)
+        ]
     with _out_stream(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
-        if args.reps == 1:
-            writer.writerow(["generation", "alive", "dead", "total"])
-            for state in simulate(args.x0, dist, args.gens, spawn_rng(seed, 0)):
-                writer.writerow([state.generation, state.alive, state.dead, state.total])
-        else:
-            writer.writerow(["replicate", "alive", "dead", "total"])
-            for rep in range(args.reps):
-                final = simulate(args.x0, dist, args.gens, spawn_rng(seed, rep))[-1]
-                writer.writerow([rep + 1, final.alive, final.dead, final.total])
+        writer.writerow(header)
+        writer.writerows(rows)
     return 0
 
 
@@ -242,9 +255,8 @@ def _cmd_mc_study(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid, "--grid")
     seed = _effective_seed(args)
     _log_seed(seed)
-    workers = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        raise UsageError(f"--threads must be >= 1, got {workers}")
+    if args.threads is not None and args.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
     config = McStudyConfig(
         params=GrowthParams(args.alpha, args.beta),
         grid=tuple(grid),
@@ -258,7 +270,7 @@ def _cmd_mc_study(args: argparse.Namespace) -> int:
         n_measurements=args.measurements,
         seed=seed,
     )
-    report = run_mc_study(config, workers=workers)
+    report = run_mc_study(config)
     with _out_stream(args.output) as out:
         if args.pretty:
             _print_mc_table(report, out)

@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .branching import (
     GrowthParams,
     mean_from_concentration,
@@ -45,6 +47,8 @@ DEFAULT_M_BAND = (0.05, 1.95)
 
 _BISECTION_TOL = 1e-12
 _BISECTION_MAX_ITER = 200
+
+_CT_OVERFLOW = "Ct values are too large: their sums overflow the floating-point range"
 
 
 @dataclass(frozen=True)
@@ -179,9 +183,7 @@ def estimate_log2_mean_total(cts: Sequence[float], a: float, x0: int) -> float:
     Averaging Ct values and removing the calibration constant and inoculum
     gives ``a - log2(x0) - mean(cts)``.
     """
-    if len(cts) == 0:
-        raise InvalidParameterError("need at least one Ct value")
-    return a - math.log2(x0) - math.fsum(cts) / len(cts)
+    return a - math.log2(x0) - _mean_ct(cts)
 
 
 def invert_mean_total(mu: float, n_generations: int) -> float:
@@ -216,6 +218,63 @@ def invert_mean_total(mu: float, n_generations: int) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def invert_mean_totals(mu: np.ndarray, n_generations: int) -> np.ndarray:
+    """``invert_mean_total`` applied to every element of an array, bit for bit.
+
+    Every element starts from [0, 2] and halves its bracket in the same
+    step, so all elements stop after the same number of steps; each step
+    evaluates the growth curve with the scalar Horner recurrence, operation
+    for operation, so the results equal the scalar ones exactly.
+
+    Raises:
+        InvalidParameterError: if some element lies outside [1, 2**n].
+    """
+    _check_generation_count(n_generations)
+    mu = np.asarray(mu, dtype=float)
+    upper = 2.0**n_generations
+    if not np.all((mu >= 1.0) & (mu <= upper)):
+        raise InvalidParameterError(
+            f"mu must lie in [1, 2**{n_generations}] = [1, {upper}] everywhere"
+        )
+    lo = np.zeros_like(mu)
+    hi = np.full_like(mu, 2.0)
+    mid = np.empty_like(mu)
+    acc = np.empty_like(mu)
+    for _ in range(_BISECTION_MAX_ITER):
+        if mu.size == 0 or np.max(hi - lo) <= _BISECTION_TOL:
+            break
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        # mean_total_from_mean(mid, n), one element per lane
+        acc.fill(0.0)
+        for _ in range(n_generations):
+            acc *= mid
+            acc += 1.0
+        below = 0.5 * mid * acc + 1.0 < mu
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=~below)
+    m = 0.5 * (lo + hi)
+    m[mu == 1.0] = 0.0
+    m[mu == upper] = 2.0
+    return m
+
+
+def estimate_offspring_means(
+    mean_cts: np.ndarray, a: float, x0: int, n_generations: int
+) -> np.ndarray:
+    """Offspring-mean estimates for an array of lane mean Ct values.
+
+    The array form of ``estimate_offspring_mean``: each element's
+    ``a - log2(x0) - mean_ct`` is clamped into [0, n] in log space and the
+    total-count estimate ``2 ** (...)`` is inverted with
+    ``invert_mean_totals``.
+    """
+    _check_generation_count(n_generations)
+    log2_mu = a - math.log2(x0) - np.asarray(mean_cts, dtype=float)
+    mu = np.clip(np.power(2.0, np.clip(log2_mu, 0.0, n_generations)), 1.0, 2.0**n_generations)
+    return invert_mean_totals(mu, n_generations)
 
 
 def estimate_offspring_mean(
@@ -327,9 +386,9 @@ def fit_dose_response(
     try:
         alpha_hat = math.exp((sum_f - beta_hat * reg.l1) / reg.k)
         mic_hat = alpha_hat ** (-1.0 / beta_hat)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: alpha_hat underflowed to 0
         raise SingularDesignError(
-            "degenerate fit: parameters overflow the floating-point range"
+            "degenerate fit: parameters leave the floating-point range"
         ) from None
     return FitResult(
         alpha_hat=alpha_hat,
@@ -338,6 +397,45 @@ def fit_dose_response(
         used_concentrations=tuple(e.concentration for e in used),
         excluded=tuple(excluded),
     )
+
+
+def fit_dose_response_rows(
+    m_hats: np.ndarray, concentrations: Sequence[float]
+) -> np.ndarray:
+    """``fit_dose_response`` on the full grid, for many repetitions at once.
+
+    Row ``r`` of ``m_hats`` holds one repetition's offspring-mean estimates
+    at ``concentrations``. Each row is fit as
+    ``fit_dose_response(estimates, concentrations=concentrations)`` would fit
+    it: lanes whose estimate is exactly 0 or 2 are left out, the band filter
+    does not apply, and the same closed-form least-squares line is solved
+    with masked sums. The grid is taken as valid: its one caller,
+    ``run_mc_study``, has it checked by ``McStudyConfig``.
+
+    Returns:
+        Array of shape ``(rows, 3)`` holding ``(alpha_hat, beta_hat,
+        mic_hat)`` per row, NaN in rows where the scalar fit would raise
+        (fewer than two usable lanes, a degenerate design, a flat slope or
+        parameters that overflow).
+    """
+    cs = np.asarray(concentrations, dtype=float)
+    m_hats = np.asarray(m_hats, dtype=float)
+    used = (m_hats > 0.0) & (m_hats < 2.0)
+    ls = np.where(used, np.log(cs), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fs = np.where(used, np.log(2.0 / m_hats - 1.0), 0.0)
+        k = used.sum(axis=1)
+        l1 = ls.sum(axis=1)
+        denominator = k * (ls * ls).sum(axis=1) - l1**2
+        sum_f = fs.sum(axis=1)
+        beta = (k * (fs * ls).sum(axis=1) - sum_f * l1) / denominator
+        alpha = np.exp((sum_f - beta * l1) / k)
+        theta = alpha ** (-1.0 / beta)
+    fits = np.stack([alpha, beta, theta], axis=1)
+    ok = (k >= 2) & (denominator > 0.0) & (beta != 0.0)
+    ok &= np.isfinite(fits).all(axis=1)
+    fits[~ok] = math.nan
+    return fits
 
 
 def k_factor(
@@ -352,9 +450,12 @@ def k_factor(
     so its sign never matters downstream.
 
     Raises:
+        InvalidParameterError: if ``n_generations`` lies outside [1, 1023].
         SingularDesignError: if the offspring mean at this concentration is
-            0 or 2, where the lane carries no regression information.
+            0 or 2, where the lane carries no regression information, or if
+            the gain is not finite in double precision.
     """
+    _check_generation_count(n_generations)
     if sigma_eps < 0.0:
         raise InvalidParameterError(f"sigma_eps must be >= 0, got {sigma_eps!r}")
     m = mean_from_concentration(params, concentration)
@@ -363,7 +464,15 @@ def k_factor(
             f"offspring mean {m} at concentration {concentration} is on the boundary"
         )
     gain = sigma_eps * mean_total_from_mean(m, n_generations) * _LOG2
-    return -2.0 / (m * (2.0 - m)) * gain / mean_total_derivative(m, n_generations)
+    slope = mean_total_derivative(m, n_generations)
+    k = -2.0 / (m * (2.0 - m)) * gain / slope
+    # an overflowed slope would silently turn the gain into zero
+    if not (math.isfinite(slope) and math.isfinite(k)):
+        raise SingularDesignError(
+            f"noise gain at concentration {concentration} over {n_generations} "
+            "generations overflows the floating-point range"
+        )
+    return k
 
 
 def asymptotic_covariance(
@@ -384,6 +493,10 @@ def asymptotic_covariance(
 
     where ``D = K*L2 - L1**2``, ``theta`` is the MIC, and ``k_i`` comes from
     ``k_factor``. All four vanish when ``sigma_eps`` is zero.
+
+    Raises:
+        SingularDesignError: if a lane is on the boundary or an entry
+            overflows the floating-point range.
     """
     cs = sorted(concentrations)
     if len(set(cs)) != len(cs):
@@ -397,8 +510,14 @@ def asymptotic_covariance(
             for c in cs
         )
     )
-    s2a, sab, s2b, s2t = _covariance_sums(ks, reg, params.alpha, params.beta)
-    return AsymptoticCovariance(s2a, sab, s2b, s2t, k_factors=tuple(ks))
+    try:
+        sums = _covariance_sums(ks, reg, params.alpha, params.beta)
+        finite = all(math.isfinite(v) for v in sums)
+    except (OverflowError, ValueError):  # ValueError: fsum of opposite infinities
+        finite = False
+    if not finite:
+        raise SingularDesignError("covariance overflows the floating-point range")
+    return AsymptoticCovariance(*sums, k_factors=tuple(ks))
 
 
 def _covariance_sums(
@@ -429,9 +548,7 @@ def estimate_calibration(cts: Sequence[float], x0: int) -> float:
     total count stays at the inoculum, so ``mean(cts) + log2(x0)`` recovers
     the instrument constant. The caller asserts that the lanes qualify.
     """
-    if len(cts) == 0:
-        raise InvalidParameterError("need at least one Ct value")
-    return math.fsum(cts) / len(cts) + math.log2(x0)
+    return _mean_ct(cts) + math.log2(x0)
 
 
 def estimate_generations(cts: Sequence[float], a_hat: float, x0: int) -> float:
@@ -442,9 +559,7 @@ def estimate_generations(cts: Sequence[float], a_hat: float, x0: int) -> float:
     Returned as a real number; round with ``round_generations`` for use as a
     generation count and keep the raw value as a diagnostic.
     """
-    if len(cts) == 0:
-        raise InvalidParameterError("need at least one Ct value")
-    return a_hat - math.log2(x0) - math.fsum(cts) / len(cts)
+    return a_hat - math.log2(x0) - _mean_ct(cts)
 
 
 def round_generations(value: float) -> int:
@@ -461,6 +576,7 @@ def estimate_noise_sd(groups: Iterable[Sequence[float]]) -> float:
 
     Raises:
         InsufficientDataError: if no group has two or more replicates.
+        InvalidParameterError: if the sum of squares overflows.
     """
     ss = 0.0
     dof = 0
@@ -468,12 +584,26 @@ def estimate_noise_sd(groups: Iterable[Sequence[float]]) -> float:
         values = list(group)
         if len(values) < 2:
             continue
-        center = math.fsum(values) / len(values)
-        ss += math.fsum((v - center) ** 2 for v in values)
+        center = _mean_ct(values)
+        try:
+            ss += math.fsum((v - center) ** 2 for v in values)
+        except OverflowError:
+            raise InvalidParameterError(_CT_OVERFLOW) from None
         dof += len(values) - 1
     if dof == 0:
         raise InsufficientDataError("need at least one group with >= 2 replicates")
+    if math.isinf(ss):
+        raise InvalidParameterError(_CT_OVERFLOW)
     return math.sqrt(ss / dof)
+
+
+def _mean_ct(cts: Sequence[float]) -> float:
+    if len(cts) == 0:
+        raise InvalidParameterError("need at least one Ct value")
+    try:
+        return math.fsum(cts) / len(cts)
+    except OverflowError:
+        raise InvalidParameterError(_CT_OVERFLOW) from None
 
 
 def _close(a: float, b: float) -> bool:

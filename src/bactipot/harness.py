@@ -16,7 +16,6 @@ Three workflows sit on top of the simulation and estimation layers:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,11 +37,18 @@ from .estimators import (
     estimate_generations,
     estimate_noise_sd,
     estimate_offspring_mean,
+    estimate_offspring_means,
     fit_dose_response,
+    fit_dose_response_rows,
     round_generations,
 )
-from .measurement import CtDataset, MeasurementConfig, simulate_experiment
+from .measurement import CtDataset, MeasurementConfig, check_grid, synthesize_plates
 from .seeding import spawn_rng
+
+#: Repetitions per random stream in a Monte Carlo study. Block ``b`` holds
+#: repetitions ``[b * MC_BLOCK, (b + 1) * MC_BLOCK)`` and draws everything
+#: from ``spawn_rng(seed, b)``; changing it changes every report.
+MC_BLOCK = 250
 
 
 @dataclass(frozen=True)
@@ -55,9 +61,9 @@ class McStudyConfig:
         measurement: Per-experiment dimensions (x0, generations, replicates,
             noise, calibration constant).
         n_measurements: Number of independent repetitions, >= 2.
-        seed: Master seed; repetition ``i`` uses the stream derived from
-            ``(seed, i)``, so reports are reproducible and worker-count
-            independent.
+        seed: Master seed. Repetitions are grouped in consecutive blocks of
+            ``MC_BLOCK``; block ``b`` draws from the stream derived from
+            ``(seed, b)``, so a report depends on the seed alone.
     """
 
     params: GrowthParams
@@ -68,6 +74,7 @@ class McStudyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "grid", tuple(self.grid))
+        check_grid(self.grid)
         if self.n_measurements < 2:
             raise InvalidParameterError(
                 f"n_measurements must be >= 2, got {self.n_measurements!r}"
@@ -218,49 +225,50 @@ class DesignEvaluation:
 def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
     """Repeat the synthetic experiment and aggregate the refits.
 
-    Each repetition synthesizes a dataset on ``config.grid``, estimates the
+    Each repetition synthesizes a plate on ``config.grid``, estimates the
     offspring mean per lane with the known calibration constant and
     generation count, and refits the dose-response parameters on the full
-    grid. Results are deterministic in ``config.seed`` regardless of
-    ``workers``; failed fits are counted, not raised.
+    grid. The study runs in this process as array work, one block of
+    ``MC_BLOCK`` repetitions at a time: one ``simulate_batch`` call grows
+    every well of the block, and the Ct synthesis, the growth-curve
+    inversion and the least-squares fit each run once over the block's
+    ``(repetitions, lanes)`` mean-Ct matrix. Block ``b`` draws from ``spawn_rng(seed, b)``,
+    so the report is a function of ``config`` alone. Failed fits are
+    counted, not raised.
 
     Args:
         config: Study definition.
-        workers: Process count for parallel repetitions (1 = in-process).
+        workers: Accepted for compatibility and must be >= 1; it does not
+            change how the study runs or what it reports.
 
     Returns:
         Report with empirical moments of the scaled errors next to the
         exact asymptotic covariance of the design.
     """
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers!r}")
+    m = config.measurement
+    means = [mean_from_concentration(config.params, c) for c in config.grid]
     total = config.n_measurements
-    results = np.full((total, 3), np.nan)
-    if workers <= 1:
-        for index in range(total):
-            results[index] = _run_measurement(config, index)
-    else:
-        chunks = _chunk_ranges(total, workers * 4)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (start, stop), block in zip(
-                chunks, pool.map(_run_measurement_block, [config] * len(chunks), chunks)
-            ):
-                results[start:stop] = block
+    results = np.empty((total, 3))
+    for block, start in enumerate(range(0, total, MC_BLOCK)):
+        stop = min(start + MC_BLOCK, total)
+        rng = spawn_rng(config.seed, block)
+        mean_cts = synthesize_plates(means, m, stop - start, rng).mean(axis=2)
+        m_hats = estimate_offspring_means(mean_cts, m.a, m.x0, m.n_generations)
+        results[start:stop] = fit_dose_response_rows(m_hats, config.grid)
 
     ok = ~np.isnan(results[:, 0])
     failures = int(total - ok.sum())
     alphas, betas, thetas = results[ok, 0], results[ok, 1], results[ok, 2]
 
-    root_n = math.sqrt(config.measurement.replicates)
+    root_n = math.sqrt(m.replicates)
     scaled_a = root_n * (alphas - config.params.alpha)
     scaled_b = root_n * (betas - config.params.beta)
     true_theta = config.params.alpha ** (-1.0 / config.params.beta)
     scaled_t = root_n * (thetas - true_theta)
 
-    theoretical = asymptotic_covariance(
-        config.grid,
-        config.params,
-        config.measurement.n_generations,
-        config.measurement.sigma_eps,
-    )
+    theoretical = asymptotic_covariance(config.grid, config.params, m.n_generations, m.sigma_eps)
     return McStudyReport(
         mean_alpha=_mean(alphas),
         mean_beta=_mean(betas),
@@ -273,35 +281,6 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
         failures=failures,
         n_measurements=total,
     )
-
-
-def _run_measurement(config: McStudyConfig, index: int) -> tuple[float, float, float]:
-    """One repetition; NaNs signal a failed fit."""
-    rng = spawn_rng(config.seed, index)
-    dataset = simulate_experiment(config.params, config.grid, config.measurement, rng)
-    m = config.measurement
-    estimates = [
-        estimate_offspring_mean(cts, m.a, m.x0, m.n_generations, concentration=c)
-        for c, cts in dataset.grouped().items()
-    ]
-    try:
-        fit = fit_dose_response(estimates, concentrations=config.grid)
-    except (InsufficientDataError, SingularDesignError):
-        return (math.nan, math.nan, math.nan)
-    return (fit.alpha_hat, fit.beta_hat, fit.mic_hat)
-
-
-def _run_measurement_block(config: McStudyConfig, bounds: tuple[int, int]) -> np.ndarray:
-    start, stop = bounds
-    block = np.full((stop - start, 3), np.nan)
-    for offset, index in enumerate(range(start, stop)):
-        block[offset] = _run_measurement(config, index)
-    return block
-
-
-def _chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    size = max(1, math.ceil(total / max(1, parts)))
-    return [(start, min(start + size, total)) for start in range(0, total, size)]
 
 
 def _mean(values: np.ndarray) -> float:
@@ -387,7 +366,7 @@ def fit_dataset(dataset: CtDataset, pipeline: PipelineConfig) -> PipelineFit:
     a_hat = estimate_calibration(pooled_high, pipeline.x0)
     sigma_eps_hat = estimate_noise_sd(high.values())
     n_hat = estimate_generations(groups[low_key], a_hat, pipeline.x0)
-    n_used = round_generations(n_hat)
+    n_used = round_generations(n_hat) if math.isfinite(n_hat) else 0
     # 62 doublings already exhaust the supported count range
     if not 1 <= n_used <= 62:
         raise InsufficientDataError(

@@ -76,9 +76,9 @@ class CtObservation:
     ct: float
 
     def __post_init__(self):
-        if not (self.concentration > 0.0):
+        if not (0.0 < self.concentration < math.inf):
             raise InvalidParameterError(
-                f"concentration must be positive, got {self.concentration!r}"
+                f"concentration must be finite and positive, got {self.concentration!r}"
             )
         if self.replicate < 1:
             raise InvalidParameterError(f"replicate must be >= 1, got {self.replicate!r}")
@@ -130,21 +130,56 @@ class CtDataset:
 
 
 def synthesize_ct(
-    total_count: int, config: MeasurementConfig, rng: np.random.Generator
-) -> float:
-    """Ct value for a single well holding ``total_count`` genomes.
+    total_count: int | np.ndarray, config: MeasurementConfig, rng: np.random.Generator
+) -> float | np.ndarray:
+    """Ct values for wells holding ``total_count`` genomes.
 
-    Returns ``a - log2(total_count) + sigma_eps * N(0, 1)``. With zero noise
-    the result is exact, bit for bit.
+    Returns ``a - log2(total_count) + sigma_eps * N(0, 1)``, one independent
+    noise draw per well: a float for a single count, an array of the same
+    shape for an array of counts. With zero noise the result is exact, bit
+    for bit.
 
     Raises:
-        InvalidParameterError: if ``total_count`` is not >= 1 (the process
-            never produces fewer genomes than it started with, so a zero
-            count signals caller error).
+        InvalidParameterError: if some count is not >= 1 (the process never
+            produces fewer genomes than it started with, so a zero count
+            signals caller error).
     """
-    if total_count < 1:
-        raise InvalidParameterError(f"total_count must be >= 1, got {total_count!r}")
-    return config.a - math.log2(total_count) + config.sigma_eps * float(rng.standard_normal())
+    totals = np.asarray(total_count, dtype=float)
+    if not np.all(totals >= 1.0):
+        raise InvalidParameterError(f"total_count must be >= 1, got {float(np.min(totals))!r}")
+    cts = config.a - np.log2(totals) + config.sigma_eps * rng.standard_normal(totals.shape)
+    return float(cts) if cts.ndim == 0 else cts
+
+
+def synthesize_plates(
+    means: Sequence[float], config: MeasurementConfig, plates: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Ct values of ``plates`` independent plates, one lane per offspring mean.
+
+    Every well starts from ``config.x0`` live cells and grows under the
+    death-or-divide law of its lane. All wells go through one
+    ``simulate_batch`` call, then through one ``synthesize_ct`` call.
+
+    Returns:
+        Array of shape ``(plates, len(means), config.replicates)``.
+    """
+    dists = [dist_from_mean(m) for m in means]
+    alive, dead = simulate_batch(
+        config.x0, dists, config.n_generations, plates * config.replicates, rng
+    )
+    cts = synthesize_ct(alive + dead, config, rng)
+    return cts.reshape(len(dists), plates, config.replicates).transpose(1, 0, 2)
+
+
+def check_grid(concentrations: Sequence[float]) -> None:
+    """Reject a concentration grid that is empty, non-positive or not increasing."""
+    grid = list(concentrations)
+    if not grid:
+        raise InvalidParameterError("concentration grid must be non-empty")
+    if not all(0.0 < c < math.inf for c in grid):
+        raise InvalidParameterError("concentrations must be finite and positive")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InvalidParameterError("concentrations must be strictly increasing")
 
 
 def simulate_experiment(
@@ -160,7 +195,7 @@ def simulate_experiment(
     dose-response law, ``config.replicates`` independent populations are
     grown for ``config.n_generations`` generations from ``config.x0`` cells,
     and each final total count is turned into one Ct observation. All wells
-    are independent.
+    are independent and are simulated in one ``synthesize_plates`` call.
 
     Args:
         params: True dose-response parameters.
@@ -175,38 +210,25 @@ def simulate_experiment(
     Returns:
         Dataset with ``config`` attached; replicates are numbered from 1.
     """
-    grid = list(concentrations)
-    if not grid:
-        raise InvalidParameterError("concentration grid must be non-empty")
-    if any(c <= 0.0 for c in grid):
-        raise InvalidParameterError("concentrations must be positive")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InvalidParameterError("concentrations must be strictly increasing")
-
-    observations: list[CtObservation] = []
+    lanes = list(concentrations)
+    check_grid(lanes)
+    means = [mean_from_concentration(params, c) for c in lanes]
     if untreated_lane is not None:
-        if not (0.0 < untreated_lane < grid[0]):
+        if not (0.0 < untreated_lane < lanes[0]):
             raise InvalidParameterError(
                 "untreated sentinel concentration must lie strictly below the grid"
             )
-        observations.extend(_synthesize_lane(2.0, untreated_lane, config, rng))
-    for c in grid:
-        m = mean_from_concentration(params, c)
-        observations.extend(_synthesize_lane(m, c, config, rng))
-    return CtDataset(tuple(observations), config=config)
-
-
-def _synthesize_lane(
-    mean: float, concentration: float, config: MeasurementConfig, rng: np.random.Generator
-) -> list[CtObservation]:
-    alive, dead = simulate_batch(
-        config.x0, dist_from_mean(mean), config.n_generations, config.replicates, rng
+        lanes.insert(0, untreated_lane)
+        means.insert(0, 2.0)
+    cts = synthesize_plates(means, config, 1, rng)[0].tolist()
+    return CtDataset(
+        tuple(
+            CtObservation(c, i + 1, ct)
+            for c, row in zip(lanes, cts)
+            for i, ct in enumerate(row)
+        ),
+        config=config,
     )
-    totals = (alive + dead).astype(float)
-    cts = config.a - np.log2(totals) + config.sigma_eps * rng.standard_normal(config.replicates)
-    return [
-        CtObservation(concentration, i + 1, float(ct)) for i, ct in enumerate(cts)
-    ]
 
 
 # ---------------------------------------------------------------------------

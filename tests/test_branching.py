@@ -27,6 +27,7 @@ from bactipot import (
     spawn_rng,
     step,
 )
+from bactipot.branching import advance
 
 means = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
 generations = st.integers(min_value=1, max_value=20)
@@ -347,6 +348,80 @@ class TestSimulateBatch:
         ratio = np.median(dead[survivors] / alive[survivors])
         target = dist.p0 / (m - 1.0)
         assert abs(ratio - target) / target < 0.10
+
+    def test_one_lane_per_distribution(self):
+        # a sequence of laws runs as lanes of one call; a general law among
+        # them sends every lane through the two-binomial step
+        dists = [dist_from_mean(0.6), OffspringDistribution(0.2, 0.35, 0.45), dist_from_mean(1.9)]
+        x0, n, reps = 10**4, 8, 1000
+        alive, dead = simulate_batch(x0, dists, n, reps, spawn_rng(101))
+        assert alive.shape == dead.shape == (3, reps)
+        ratios = (alive + dead) / x0
+        se = ratios.std(axis=1, ddof=1) / math.sqrt(reps)
+        expected = [mean_total(d, n) for d in dists]
+        assert (np.abs(ratios.mean(axis=1) - expected) < 4 * se).all()
+
+    def test_single_lane_sequence_matches_the_plain_call(self):
+        lane_alive, lane_dead = simulate_batch(100, [dist_from_mean(1.4)], 6, 50, spawn_rng(5))
+        alive, dead = simulate_batch(100, dist_from_mean(1.4), 6, 50, spawn_rng(5))
+        assert np.array_equal(lane_alive[0], alive) and np.array_equal(lane_dead[0], dead)
+
+    def test_low_mean_long_run_never_overflows(self):
+        # x0 * 2**80 is far beyond the count range, but a mean of 0.1 never
+        # lets a total grow, so the run must not be refused up front
+        alive, dead = simulate_batch(1000, dist_from_mean(0.1), 80, 5, spawn_rng(7))
+        assert (alive + dead >= 1000).all() and (alive + dead <= 1000 * 2**80).all()
+
+    def test_overflow_guard_fires_at_the_same_generation(self):
+        # pure doubling from 2**60: two generations reach 2**62 safely, and
+        # the third is refused because 2**62 could double past MAX_COUNT
+        doubling = OffspringDistribution(0, 0, 1)
+        alive, dead = simulate_batch(2**60, doubling, 2, 3, spawn_rng(0))
+        assert alive.tolist() == [2**62] * 3 and dead.tolist() == [0] * 3
+        with pytest.raises(CountOverflowError):
+            simulate_batch(2**60, doubling, 3, 3, spawn_rng(0))
+
+
+class TestAdvance:
+    @staticmethod
+    def assert_lane_means(alive, dead, x0, expected):
+        ratios = (alive + dead) / x0
+        se = ratios.std(axis=-1, ddof=1) / math.sqrt(ratios.shape[-1])
+        assert (np.abs(ratios.mean(axis=-1) - expected) < 3 * se).all()
+
+    def test_death_or_divide_lanes_with_different_means(self):
+        means = np.array([0.2, 0.9, 1.0, 1.45, 1.9])
+        x0, n, reps = 1000, 8, 2000
+        alive = np.full((len(means), reps), x0)
+        half = means[:, None] / 2
+        alive, dead = advance(alive, np.zeros_like(alive), 1 - half, 0.0, half, n, spawn_rng(31))
+        assert alive.shape == dead.shape == (len(means), reps)
+        self.assert_lane_means(
+            alive, dead, x0, [mean_total_from_mean(float(m), n) for m in means]
+        )
+
+    def test_general_lanes_with_different_laws(self):
+        dists = [
+            OffspringDistribution(0.2, 0.35, 0.45),
+            OffspringDistribution(0.5, 0.4, 0.1),
+            OffspringDistribution(0.05, 0.6, 0.35),
+        ]
+        x0, n, reps = 1000, 6, 2000
+        p0, p1, p2 = (np.array([[getattr(d, f)] for d in dists]) for f in ("p0", "p1", "p2"))
+        alive = np.full((len(dists), reps), x0)
+        alive, dead = advance(alive, np.zeros_like(alive), p0, p1, p2, n, spawn_rng(32))
+        self.assert_lane_means(alive, dead, x0, [mean_total(d, n) for d in dists])
+
+    def test_overflow_guard_sees_counts_near_the_limit(self):
+        # live plus dead is 2**63 here, one past the int64 range
+        with pytest.raises(CountOverflowError):
+            advance(np.array([2**62]), np.array([2**62]), 0.0, 0.0, 1.0, 1, spawn_rng(0))
+
+    def test_inputs_are_left_alone(self):
+        alive = np.full(4, 50)
+        dead = np.zeros(4, dtype=np.int64)
+        advance(alive, dead, 0.3, 0.0, 0.7, 5, spawn_rng(33))
+        assert alive.tolist() == [50] * 4 and dead.tolist() == [0] * 4
 
 
 class TestStepDistributionExact:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from bactipot import dist_from_mean, simulate_batch, spawn_rng
 from bactipot.cli import main
 
 
@@ -47,6 +48,20 @@ class TestSimulate:
         rows = parse_csv(out)
         assert rows[0] == ["replicate", "alive", "dead", "total"]
         assert [r[0] for r in rows[1:]] == ["1", "2", "3", "4"]
+
+    def test_replicates_are_one_batch(self, run):
+        _, out, _ = run(
+            "simulate", "--m", "1.5", "--x0", "100", "--gens", "5", "--reps", "4", "--seed", "9"
+        )
+        alive, dead = simulate_batch(100, dist_from_mean(1.5), 5, 4, spawn_rng(9, 0))
+        assert parse_csv(out)[1:] == [
+            [str(i), str(a), str(d), str(a + d)]
+            for i, (a, d) in enumerate(zip(alive.tolist(), dead.tolist()), start=1)
+        ]
+
+    def test_replicates_below_one_is_usage_error(self, run):
+        status, out, err = run("simulate", "--m", "1.5", "--reps", "0")
+        assert status == 2 and out == "" and "--reps" in err
 
     def test_explicit_probabilities(self, run):
         status, out, _ = run(
@@ -175,6 +190,23 @@ class TestSynthAndFit:
         )
         assert status == 2 and "--input" in err
 
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            ((3.0, 4.0), (1e308,) * 4),  # the calibration sum overflows
+            ((-1.7e308,), (8e307, 8e307)),  # the generation count overflows
+        ],
+    )
+    def test_fit_huge_ct_values_is_data_error(self, run, low, high):
+        lanes = ((0.25, low), (0.5, high[:2]), (1, high[2:]))
+        rows = [f"{c},{r},{ct!r}" for c, cts in lanes for r, ct in enumerate(cts, 1)]
+        status, out, err = run(
+            "fit", "--input", "-", "--high-c", "0.5", "--low-c", "0.25", "--x0", "10",
+            stdin="concentration,replicate,ct\n" + "\n".join(rows) + "\n",
+        )
+        assert status == 1 and out == ""
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_fit_bad_data_is_data_error(self, run, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("concentration,replicate,ct\n0.25,1,oops\n")
@@ -208,6 +240,12 @@ class TestMcStudy:
             "--seed", "7", "--threads", "1", "--no-timestamp",
         )
         assert run(*argv)[1] == run(*argv)[1]
+
+    def test_zero_threads_is_usage_error(self, run):
+        status, _, err = run(
+            "mc-study", "--alpha", "10", "--beta", "1", "--grid", "2^-6,2^-4", "--threads", "0"
+        )
+        assert status == 2 and "--threads" in err
 
     def test_pretty_table(self, run):
         status, out, _ = run(
@@ -256,6 +294,23 @@ class TestDesignEval:
             "--designs", "2^-6,2^-4,2^-2", "--pretty",
         )
         assert status == 0 and "best" in out
+
+    def test_generation_count_out_of_range_is_data_error(self, run):
+        status, out, err = run(
+            "design-eval", "--alpha", "10", "--beta", "1", "--gens", "2000",
+            "--designs", "2^-6,2^-4,2^-2",
+        )
+        assert status == 1 and "n_generations" in err and out == ""
+
+    def test_overflowing_design_is_singular_not_nan(self, run):
+        # over 1023 generations the near-free-growth lanes overflow the gain
+        status, out, _ = run(
+            "design-eval", "--alpha", "10", "--beta", "1", "--gens", "1023",
+            "--designs", "2^-6,2^-4,2^-2;2^-12,2^-11",
+        )
+        rows = parse_csv(out)
+        assert status == 0 and "nan" not in out
+        assert [r[5] for r in rows[1:]] == ["best", "singular"]
 
     def test_malformed_grid_is_usage_error(self, run):
         status, _, err = run(
@@ -325,3 +380,11 @@ class TestSeedsAndErrors:
             "simulate", "--m", "2", "--x0", str(2**62), "--gens", "2", "--reps", "1"
         )
         assert status == 1 and "overflow" in err.lower()
+
+    def test_failed_simulation_leaves_no_output_file(self, run, tmp_path):
+        target = tmp_path / "out.csv"
+        status, _, err = run(
+            "simulate", "--m", "2", "--x0", str(2**62), "--gens", "2", "-o", str(target)
+        )
+        assert status == 1 and "overflow" in err.lower()
+        assert not target.exists()

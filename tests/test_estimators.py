@@ -31,7 +31,12 @@ from bactipot import (
     simulate_batch,
     spawn_rng,
 )
-from bactipot.estimators import _covariance_sums
+from bactipot.estimators import (
+    _covariance_sums,
+    estimate_offspring_means,
+    fit_dose_response_rows,
+    invert_mean_totals,
+)
 
 LOG2_X0 = math.log2(10**4)
 
@@ -103,6 +108,26 @@ class TestInvertMeanTotal:
             invert_mean_total(0.5, 10)
         with pytest.raises(InvalidParameterError):
             invert_mean_total(1025.0, 10)
+        with pytest.raises(InvalidParameterError):
+            invert_mean_totals(np.array([2.0, 1025.0]), 10)
+
+
+class TestInvertMeanTotals:
+    @pytest.mark.parametrize("n", [1, 10, 62])
+    def test_bit_identical_to_scalar_bisection(self, n):
+        rng = spawn_rng(401, n)
+        interior = np.exp2(rng.uniform(0.0, n, size=500))
+        mu = np.concatenate([[1.0, 2.0**n], np.clip(interior, 1.0, 2.0**n)])
+        expected = [invert_mean_total(float(x), n) for x in mu]
+        assert invert_mean_totals(mu.reshape(2, -1), n).ravel().tolist() == expected
+
+    def test_array_estimates_follow_the_scalar_clamp(self):
+        # Ct values below, inside and above the feasible range of one lane
+        mean_cts = np.array([[-LOG2_X0 + 0.1, -LOG2_X0 - 3.3], [-LOG2_X0 - 11.0, 5000.0]])
+        m_hats = estimate_offspring_means(mean_cts, 0.0, 10**4, 10)
+        for got, mean_ct in zip(m_hats.ravel(), mean_cts.ravel()):
+            est = estimate_offspring_mean([mean_ct], 0.0, 10**4, 10)
+            assert got == pytest.approx(est.m_hat, rel=1e-12, abs=1e-12)
 
 
 class TestEstimateOffspringMean:
@@ -231,6 +256,47 @@ class TestFitDoseResponse:
         assert fit1.mic_hat == pytest.approx(fit0.mic_hat * scale, rel=1e-9)
 
 
+class TestFitDoseResponseRows:
+    def test_matches_scalar_fit_row_by_row(self):
+        # interior estimates with some lanes pushed to 0 or 2: one boundary
+        # lane leaves two usable points, two leave too few
+        grid = (2**-6, 2**-4, 2**-2)
+        rng = spawn_rng(402)
+        m_hats = rng.uniform(0.05, 1.95, size=(400, 3))
+        m_hats[rng.random((400, 3)) < 0.3] = 0.0
+        m_hats[rng.random((400, 3)) < 0.2] = 2.0
+        rows = fit_dose_response_rows(m_hats, grid)
+        failed = 0
+        for row, ms in zip(rows, m_hats):
+            estimates = [
+                MeanEstimate(c, mean_total_from_mean(m, 10), m, clamped=False)
+                for c, m in zip(grid, ms)
+            ]
+            try:
+                fit = fit_dose_response(estimates, concentrations=grid)
+            except (InsufficientDataError, SingularDesignError):
+                failed += 1
+                assert np.isnan(row).all()
+                continue
+            expected = (fit.alpha_hat, fit.beta_hat, fit.mic_hat)
+            assert row.tolist() == pytest.approx(expected, rel=1e-12)
+        assert 0 < failed < len(rows)
+
+    def test_flat_response_fails_like_the_scalar_fit(self):
+        # every lane at m = 1 gives f = 0 everywhere and a zero slope
+        rows = fit_dose_response_rows(np.ones((2, 3)), (0.25, 0.5, 1.0))
+        assert np.isnan(rows).all()
+
+    def test_underflowing_alpha_fails_like_the_scalar_fit(self):
+        # at concentrations near 1e300 a steep line puts alpha_hat below the
+        # smallest double, and the MIC alpha ** (-1/beta) has no value
+        grid = (1e300, 3e300)
+        estimates = [MeanEstimate(c, 10.0, m, clamped=False) for c, m in zip(grid, (1.5, 0.5))]
+        with pytest.raises(SingularDesignError):
+            fit_dose_response(estimates)
+        assert np.isnan(fit_dose_response_rows(np.array([[1.5, 0.5]]), grid)).all()
+
+
 class TestRegressionInputs:
     def test_needs_two_points(self):
         with pytest.raises(InsufficientDataError):
@@ -275,6 +341,19 @@ class TestKFactor:
         # concentration so extreme the mean underflows to zero
         with pytest.raises(SingularDesignError):
             k_factor(1e200, GrowthParams(10, 2), 10, 0.2)
+
+    @pytest.mark.parametrize("n", [0, 1024, 2000])
+    def test_generation_count_domain(self, n):
+        with pytest.raises(InvalidParameterError):
+            k_factor(2**-4, GrowthParams(10, 1), n, 0.2)
+
+    def test_overflowing_gain_is_singular(self):
+        # near free growth over 1023 generations the growth-curve slope
+        # overflows, which would otherwise turn the gain into zero
+        with pytest.raises(SingularDesignError):
+            k_factor(2**-12, GrowthParams(10, 1), 1023, 0.2)
+        with pytest.raises(SingularDesignError):
+            asymptotic_covariance([2**-6, 2**-4, 2**-2], GrowthParams(10, 1), 10, 1e300)
 
 
 def assert_rounds_to(value, printed):
@@ -398,6 +477,15 @@ class TestNuisanceEstimators:
 
     def test_noise_sd_hand_computed(self):
         assert estimate_noise_sd([[0.0, 2.0], [1.0, 3.0]]) == pytest.approx(math.sqrt(2))
+
+    @pytest.mark.parametrize("cts", [[1e200, -1e200], [1e308, 1e308]])
+    def test_noise_sd_rejects_overflowing_ct_values(self, cts):
+        with pytest.raises(InvalidParameterError, match="too large"):
+            estimate_noise_sd([cts])
+
+    def test_calibration_rejects_overflowing_ct_values(self):
+        with pytest.raises(InvalidParameterError, match="too large"):
+            estimate_calibration([1e308, 1e308], 10**4)
 
     def test_noise_sd_singletons_rejected(self):
         with pytest.raises(InsufficientDataError):

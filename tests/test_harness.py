@@ -11,6 +11,7 @@ from bactipot import (
     FitResult,
     GrowthParams,
     InsufficientDataError,
+    InvalidParameterError,
     McStudyConfig,
     MeasurementConfig,
     PipelineConfig,
@@ -23,6 +24,7 @@ from bactipot import (
     simulate_experiment,
     spawn_rng,
 )
+from bactipot.harness import MC_BLOCK
 
 REFERENCE_DESIGN = (2**-6, 2**-4, 2**-2)
 
@@ -48,8 +50,18 @@ class TestRunMcStudy:
         assert a == b
 
     def test_parallel_matches_serial(self):
-        config = study_config(n_measurements=24)
-        assert run_mc_study(config, workers=2) == run_mc_study(config, workers=1)
+        # spans a block boundary, so more than one stream is in play
+        config = study_config(n_measurements=MC_BLOCK + 13)
+        serial = run_mc_study(config, workers=1)
+        assert all(run_mc_study(config, workers=w) == serial for w in (2, 3))
+
+    def test_worker_count_is_validated(self):
+        with pytest.raises(InvalidParameterError):
+            run_mc_study(study_config(n_measurements=5), workers=0)
+
+    def test_grid_is_validated(self):
+        with pytest.raises(InvalidParameterError):
+            study_config(grid=(2**-4, 2**-6))
 
     def test_noiseless_study_recovers_parameters(self):
         # with zero Ct noise the only variability left is branching noise,

@@ -50,6 +50,15 @@ class TestSynthesizeCt:
         with pytest.raises(InvalidParameterError):
             synthesize_ct(0, noiseless_config(), spawn_rng(0))
 
+    def test_array_of_counts_matches_the_scalar_form(self):
+        # one noise draw per well, in row-major order
+        config = noiseless_config(a=2.0, sigma_eps=0.3)
+        totals = np.array([[10**4, 3 * 10**4], [2**10 * 10**4, 12345]])
+        cts = synthesize_ct(totals, config, spawn_rng(9))
+        rng = spawn_rng(9)
+        expected = [synthesize_ct(int(t), config, rng) for t in totals.ravel()]
+        assert cts.shape == (2, 2) and cts.ravel().tolist() == expected
+
     def test_noiseless_is_bit_reproducible(self):
         config = noiseless_config()
         assert synthesize_ct(12345, config, spawn_rng(5)) == synthesize_ct(
@@ -238,6 +247,12 @@ class TestCsvErrors:
     def test_empty_file(self):
         with pytest.raises(DatasetFormatError, match="header"):
             read_dataset(io.StringIO(""))
+
+    def test_infinite_concentration_names_the_line(self):
+        text = "concentration,replicate,ct\n0.5,1,3.0\ninf,1,3.0\n"
+        with pytest.raises(DatasetFormatError, match="line 3") as exc_info:
+            read_dataset(io.StringIO(text))
+        assert "finite" in str(exc_info.value)
 
     def test_nonpositive_concentration(self):
         with pytest.raises(DatasetFormatError, match="line 2"):
