@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -161,10 +162,7 @@ def mean_total(dist: OffspringDistribution, n_generations: int) -> float:
     """
     _check_generations(n_generations, minimum=0)
     m = dist.mean
-    acc = 0.0
-    for _ in range(n_generations):
-        acc = acc * m + 1.0
-    return m**n_generations + dist.p0 * acc
+    return m**n_generations + dist.p0 * _horner(repeat(1.0, n_generations), m)
 
 
 def mean_total_from_mean(mean: float, n_generations: int) -> float:
@@ -178,10 +176,7 @@ def mean_total_from_mean(mean: float, n_generations: int) -> float:
     if not (0.0 <= mean <= 2.0) or math.isnan(mean):
         raise InvalidParameterError(f"offspring mean must lie in [0, 2], got {mean!r}")
     _check_generations(n_generations, minimum=0)
-    acc = 0.0
-    for _ in range(n_generations):
-        acc = acc * mean + 1.0
-    return 0.5 * mean * acc + 1.0
+    return 0.5 * mean * _horner(repeat(1.0, n_generations), mean) + 1.0
 
 
 def mean_total_derivative(mean: float, n_generations: int) -> float:
@@ -194,10 +189,7 @@ def mean_total_derivative(mean: float, n_generations: int) -> float:
     if not (0.0 <= mean <= 2.0) or math.isnan(mean):
         raise InvalidParameterError(f"offspring mean must lie in [0, 2], got {mean!r}")
     _check_generations(n_generations, minimum=1)
-    acc = 0.0
-    for j in range(n_generations, 0, -1):
-        acc = acc * mean + j
-    return 0.5 * acc
+    return 0.5 * _horner(range(n_generations, 0, -1), mean)
 
 
 def mean_total_bounds(mean: float, n_generations: int) -> tuple[float, float]:
@@ -375,6 +367,14 @@ def simulate_batch(
         probs = np.ascontiguousarray(table.T)[..., None]
     alive = np.full(shape, x0, dtype=np.int64)
     return advance(alive, np.zeros_like(alive), *probs, n_generations, rng)
+
+
+def _horner(coefficients: Iterable[float], x):
+    # float or array x: each element sees the scalar operations, in order
+    acc = 0.0
+    for c in coefficients:
+        acc = acc * x + c
+    return acc
 
 
 def _check_generations(n_generations: int, minimum: int) -> None:

@@ -20,6 +20,7 @@ Exit status: 0 on success, 1 on data errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -246,8 +247,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     result = fit_dataset(dataset, pipeline)
     payload = {"meta": _meta(args, seed=None), **result.to_dict()}
     with _out_stream(args.output) as out:
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        _write_json(payload, out)
     return 0
 
 
@@ -275,8 +275,7 @@ def _cmd_mc_study(args: argparse.Namespace) -> int:
         if args.pretty:
             _print_mc_table(report, out)
         else:
-            json.dump({"meta": _meta(args, seed=seed), **report.to_dict()}, out, indent=2)
-            out.write("\n")
+            _write_json({"meta": _meta(args, seed=seed), **report.to_dict()}, out)
     return 0
 
 
@@ -409,22 +408,19 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     return low, high
 
 
-class _out_stream:
-    """Context manager writing to a path or stdout without closing stdout."""
+def _out_stream(target: str) -> contextlib.AbstractContextManager[IO[str]]:
+    # stdout is not ours to close
+    if target == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(target, "w", encoding="utf-8", newline="")
 
-    def __init__(self, target: str):
-        self._target = target
-        self._handle: IO[str] | None = None
 
-    def __enter__(self) -> IO[str]:
-        if self._target == "-":
-            return sys.stdout
-        self._handle = open(self._target, "w", encoding="utf-8", newline="")
-        return self._handle
-
-    def __exit__(self, *exc_info) -> None:
-        if self._handle is not None:
-            self._handle.close()
+def _write_json(payload: dict, out: IO[str]) -> None:
+    """Write ``payload`` as strict JSON: NaN and infinities become null."""
+    # floats round-trip through their repr, so finite values keep their bytes
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    json.dump(strict, out, indent=2, allow_nan=False)
+    out.write("\n")
 
 
 def _sig3(value: float) -> str:
@@ -433,9 +429,15 @@ def _sig3(value: float) -> str:
     return f"{value:.3g}"
 
 
+def _write_table(rows: Sequence[Sequence[str]], out: IO[str]) -> None:
+    """Write rows of cells as left-aligned columns two spaces apart."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    for r in rows:
+        out.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
+
+
 def _print_design_table(rows, out: IO[str]) -> None:
-    header = ("design", "s2_alpha", "s_alphabeta", "s2_beta", "s2_theta", "status")
-    table = [header]
+    table = [("design", "s2_alpha", "s_alphabeta", "s2_beta", "s2_theta", "status")]
     for row in rows:
         design_text = ", ".join(_sig3(c) for c in row.design)
         if row.singular:
@@ -452,9 +454,7 @@ def _print_design_table(rows, out: IO[str]) -> None:
                     "best" if row.best else "",
                 )
             )
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    for r in table:
-        out.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
+    _write_table(table, out)
 
 
 def _print_mc_table(report, out: IO[str]) -> None:
@@ -466,9 +466,7 @@ def _print_mc_table(report, out: IO[str]) -> None:
         ("mic", _sig3(report.mean_theta), _sig3(report.emp_var_theta), _sig3(theory.sigma2_theta)),
         ("alpha-beta cov", "", _sig3(report.emp_cov_alphabeta), _sig3(theory.sigma_alphabeta)),
     ]
-    widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    for r in rows:
-        out.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
+    _write_table(rows, out)
     out.write(f"measurements: {report.n_measurements}  failures: {report.failures}\n")
 
 

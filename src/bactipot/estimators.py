@@ -3,7 +3,7 @@
 The chain runs in three stages, each consuming the previous one's output:
 
 1. Per concentration, the mean Ct of the replicates gives the log2 of the
-   estimated expected total count (``estimate_log2_mean_total``), which is
+   estimated expected total count, ``a - log2(x0) - mean(cts)``, which is
    clamped into its feasible range and inverted through the death-or-divide
    growth curve to an offspring-mean estimate (``estimate_offspring_mean``).
 2. Across concentrations, the identity
@@ -25,17 +25,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .branching import (
     GrowthParams,
+    _horner,
     mean_from_concentration,
     mean_total_derivative,
     mean_total_from_mean,
 )
 from .errors import InsufficientDataError, InvalidParameterError, SingularDesignError
+from .measurement import same_concentration
 
 _LOG2 = math.log(2.0)
 
@@ -70,46 +73,6 @@ class MeanEstimate:
     mu_hat: float
     m_hat: float
     clamped: bool
-
-
-@dataclass(frozen=True)
-class RegressionInputs:
-    """Log-log regression points and their first two moments.
-
-    ``points`` holds ``(log(c_i), f_i)`` pairs with strictly increasing
-    log-concentrations; ``f_i = log(2/m_i - 1)`` is the linearized response.
-    """
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
-        if len(self.points) < 2:
-            raise InsufficientDataError(
-                f"need at least 2 regression points, got {len(self.points)}"
-            )
-        ls = [l for l, _ in self.points]
-        if any(b <= a for a, b in zip(ls, ls[1:])):
-            raise InvalidParameterError("log-concentrations must be strictly increasing")
-        if self.denominator <= 0.0:
-            raise SingularDesignError("degenerate design: K*L2 - L1**2 is not positive")
-
-    @property
-    def k(self) -> int:
-        return len(self.points)
-
-    @property
-    def l1(self) -> float:
-        return math.fsum(l for l, _ in self.points)
-
-    @property
-    def l2(self) -> float:
-        return math.fsum(l * l for l, _ in self.points)
-
-    @property
-    def denominator(self) -> float:
-        # Positive for distinct concentrations by the Cauchy-Schwarz inequality.
-        return self.k * self.l2 - self.l1**2
 
 
 @dataclass(frozen=True)
@@ -177,15 +140,6 @@ def mic(alpha: float, beta: float) -> float:
     return alpha ** (-1.0 / beta)
 
 
-def estimate_log2_mean_total(cts: Sequence[float], a: float, x0: int) -> float:
-    """log2 of the estimated expected total count per initial cell.
-
-    Averaging Ct values and removing the calibration constant and inoculum
-    gives ``a - log2(x0) - mean(cts)``.
-    """
-    return a - math.log2(x0) - _mean_ct(cts)
-
-
 def invert_mean_total(mu: float, n_generations: int) -> float:
     """Offspring mean whose death-or-divide growth curve reaches ``mu``.
 
@@ -240,19 +194,12 @@ def invert_mean_totals(mu: np.ndarray, n_generations: int) -> np.ndarray:
         )
     lo = np.zeros_like(mu)
     hi = np.full_like(mu, 2.0)
-    mid = np.empty_like(mu)
-    acc = np.empty_like(mu)
     for _ in range(_BISECTION_MAX_ITER):
         if mu.size == 0 or np.max(hi - lo) <= _BISECTION_TOL:
             break
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
+        mid = 0.5 * (lo + hi)
         # mean_total_from_mean(mid, n), one element per lane
-        acc.fill(0.0)
-        for _ in range(n_generations):
-            acc *= mid
-            acc += 1.0
-        below = 0.5 * mid * acc + 1.0 < mu
+        below = 0.5 * mid * _horner(repeat(1.0, n_generations), mid) + 1.0 < mu
         np.copyto(lo, mid, where=below)
         np.copyto(hi, mid, where=~below)
     m = 0.5 * (lo + hi)
@@ -272,7 +219,7 @@ def estimate_offspring_means(
     ``invert_mean_totals``.
     """
     _check_generation_count(n_generations)
-    log2_mu = a - math.log2(x0) - np.asarray(mean_cts, dtype=float)
+    log2_mu = _log2_mean_total(np.asarray(mean_cts, dtype=float), a, x0)
     mu = np.clip(np.power(2.0, np.clip(log2_mu, 0.0, n_generations)), 1.0, 2.0**n_generations)
     return invert_mean_totals(mu, n_generations)
 
@@ -286,7 +233,7 @@ def estimate_offspring_mean(
 ) -> MeanEstimate:
     """Offspring-mean estimate for one lane of replicate Ct values.
 
-    The raw total-count estimate ``2 ** estimate_log2_mean_total(...)`` is
+    The raw total-count estimate ``2 ** (a - log2(x0) - mean(cts))`` is
     clamped into its feasible range [1, 2**n] (measurement noise can push it
     outside) and inverted through the growth curve.
 
@@ -298,7 +245,7 @@ def estimate_offspring_mean(
         concentration: Recorded on the result for downstream selection.
     """
     _check_generation_count(n_generations)
-    log2_mu = estimate_log2_mean_total(cts, a, x0)
+    log2_mu = _log2_mean_total(_mean_ct(cts), a, x0)
     # clamp in log space so absurd inputs cannot overflow the power
     if log2_mu < 0.0:
         mu_hat, clamped = 1.0, True
@@ -334,7 +281,8 @@ def fit_dose_response(
     the log transform is undefined) are always excluded. With
     ``concentrations=None`` the default band filter keeps lanes whose
     ``m_hat`` lies inside ``m_band``; passing an explicit concentration
-    subset overrides the band and uses exactly those lanes.
+    subset overrides the band and uses exactly those lanes, each matched by
+    ``measurement.same_concentration``.
 
     Raises:
         InsufficientDataError: if fewer than two usable lanes remain; the
@@ -349,7 +297,7 @@ def fit_dose_response(
 
     subset = None if concentrations is None else list(concentrations)
     if subset is not None:
-        missing = [c for c in subset if not any(_close(c, e) for e in cs)]
+        missing = [c for c in subset if not any(same_concentration(c, e) for e in cs)]
         if missing:
             raise InvalidParameterError(
                 f"requested concentrations {missing!r} have no estimates"
@@ -358,7 +306,7 @@ def fit_dose_response(
     used: list[MeanEstimate] = []
     excluded: list[tuple[float, str]] = []
     for est in ordered:
-        if subset is not None and not any(_close(est.concentration, c) for c in subset):
+        if subset is not None and not any(same_concentration(est.concentration, c) for c in subset):
             excluded.append((est.concentration, "not-selected"))
         elif est.m_hat <= 0.0 or est.m_hat >= 2.0:
             side = "zero" if est.m_hat <= 0.0 else "two"
@@ -373,18 +321,16 @@ def fit_dose_response(
             f"need >= 2 usable concentrations, have {len(used)}; excluded: {excluded!r}"
         )
 
-    reg = RegressionInputs(
-        tuple(
-            (math.log(e.concentration), math.log(2.0 / e.m_hat - 1.0)) for e in used
-        )
-    )
-    sum_f = math.fsum(f for _, f in reg.points)
-    sum_fl = math.fsum(f * l for l, f in reg.points)
-    beta_hat = (reg.k * sum_fl - sum_f * reg.l1) / reg.denominator
+    ls = [math.log(e.concentration) for e in used]
+    fs = [math.log(2.0 / e.m_hat - 1.0) for e in used]
+    k, l1, _, d = _design_sums(ls)
+    sum_f = math.fsum(fs)
+    sum_fl = math.fsum(f * l for l, f in zip(ls, fs))
+    beta_hat = (k * sum_fl - sum_f * l1) / d
     if beta_hat == 0.0:
         raise SingularDesignError("flat response: fitted slope is exactly zero")
     try:
-        alpha_hat = math.exp((sum_f - beta_hat * reg.l1) / reg.k)
+        alpha_hat = math.exp((sum_f - beta_hat * l1) / k)
         mic_hat = alpha_hat ** (-1.0 / beta_hat)
     except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: alpha_hat underflowed to 0
         raise SingularDesignError(
@@ -502,43 +448,54 @@ def asymptotic_covariance(
     if len(set(cs)) != len(cs):
         raise InvalidParameterError("design concentrations must be distinct")
     ks = [k_factor(c, params, n_generations, sigma_eps) for c in cs]
-    # RegressionInputs validates K >= 2 and the positive denominator; the
-    # f coordinates are the design's noiseless responses.
-    reg = RegressionInputs(
-        tuple(
-            (math.log(c), math.log(2.0 / mean_from_concentration(params, c) - 1.0))
-            for c in cs
-        )
-    )
+    sums = _covariance_sums(ks, [math.log(c) for c in cs], params.alpha, params.beta)
+    return AsymptoticCovariance(*sums, k_factors=tuple(ks))
+
+
+def _design_sums(ls: Sequence[float]) -> tuple[int, float, float, float]:
+    """Design sums ``(K, L1, L2, D)`` of strictly increasing log-concentrations.
+
+    ``L1`` and ``L2`` sum ``l`` and ``l**2``; ``D = K*L2 - L1**2`` is positive
+    for distinct points by the Cauchy-Schwarz inequality.
+    """
+    if len(ls) < 2:
+        raise InsufficientDataError(f"need at least 2 regression points, got {len(ls)}")
+    if any(b <= a for a, b in zip(ls, ls[1:])):
+        raise InvalidParameterError("log-concentrations must be strictly increasing")
+    k = len(ls)
+    l1 = math.fsum(ls)
+    l2 = math.fsum(l * l for l in ls)
+    d = k * l2 - l1**2
+    if d <= 0.0:
+        raise SingularDesignError("degenerate design: K*L2 - L1**2 is not positive")
+    return k, l1, l2, d
+
+
+def _covariance_sums(
+    ks: Sequence[float], ls: Sequence[float], alpha: float, beta: float
+) -> tuple[float, float, float, float]:
+    n, l1, l2, d = _design_sums(ls)
+    d2 = d**2
+    a_terms = [l2 - l1 * l for l in ls]
+    b_terms = [n * l - l1 for l in ls]
     try:
-        sums = _covariance_sums(ks, reg, params.alpha, params.beta)
+        s2a = alpha**2 / d2 * math.fsum(k * k * a * a for k, a in zip(ks, a_terms))
+        sab = alpha / d2 * math.fsum(k * k * a * b for k, a, b in zip(ks, a_terms, b_terms))
+        s2b = math.fsum(k * k * b * b for k, b in zip(ks, b_terms)) / d2
+        theta = alpha ** (-1.0 / beta)
+        ratio = math.log(alpha) / beta
+        s2t = (
+            theta**2
+            / (beta**2 * d2)
+            * math.fsum(k * k * (a - ratio * b) ** 2 for k, a, b in zip(ks, a_terms, b_terms))
+        )
+        sums = (s2a, sab, s2b, s2t)
         finite = all(math.isfinite(v) for v in sums)
     except (OverflowError, ValueError):  # ValueError: fsum of opposite infinities
         finite = False
     if not finite:
         raise SingularDesignError("covariance overflows the floating-point range")
-    return AsymptoticCovariance(*sums, k_factors=tuple(ks))
-
-
-def _covariance_sums(
-    ks: Sequence[float], reg: RegressionInputs, alpha: float, beta: float
-) -> tuple[float, float, float, float]:
-    ls = [l for l, _ in reg.points]
-    n, l1, l2 = reg.k, reg.l1, reg.l2
-    d2 = reg.denominator**2
-    a_terms = [l2 - l1 * l for l in ls]
-    b_terms = [n * l - l1 for l in ls]
-    s2a = alpha**2 / d2 * math.fsum(k * k * a * a for k, a in zip(ks, a_terms))
-    sab = alpha / d2 * math.fsum(k * k * a * b for k, a, b in zip(ks, a_terms, b_terms))
-    s2b = math.fsum(k * k * b * b for k, b in zip(ks, b_terms)) / d2
-    theta = alpha ** (-1.0 / beta)
-    ratio = math.log(alpha) / beta
-    s2t = (
-        theta**2
-        / (beta**2 * d2)
-        * math.fsum(k * k * (a - ratio * b) ** 2 for k, a, b in zip(ks, a_terms, b_terms))
-    )
-    return s2a, sab, s2b, s2t
+    return sums
 
 
 def estimate_calibration(cts: Sequence[float], x0: int) -> float:
@@ -559,7 +516,7 @@ def estimate_generations(cts: Sequence[float], a_hat: float, x0: int) -> float:
     Returned as a real number; round with ``round_generations`` for use as a
     generation count and keep the raw value as a diagnostic.
     """
-    return a_hat - math.log2(x0) - _mean_ct(cts)
+    return _log2_mean_total(_mean_ct(cts), a_hat, x0)
 
 
 def round_generations(value: float) -> int:
@@ -606,8 +563,9 @@ def _mean_ct(cts: Sequence[float]) -> float:
         raise InvalidParameterError(_CT_OVERFLOW) from None
 
 
-def _close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+def _log2_mean_total(mean_ct, a: float, x0: int):
+    # the Ct model solved for log2 of the total per initial cell; float or array
+    return a - math.log2(x0) - mean_ct
 
 
 def _check_generation_count(n_generations: int) -> None:

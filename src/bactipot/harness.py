@@ -131,11 +131,12 @@ class PipelineConfig:
     Attributes:
         high_c_threshold: Lanes with concentration >= this estimate the
             calibration constant and noise level.
-        low_c_choice: The lane (exact grid value) treated as free growth for
-            the generation-count estimate.
+        low_c_choice: The lane treated as free growth for the
+            generation-count estimate, matched by ``same_concentration``.
         x0: Initial live cells per well.
-        fit_concentrations: Explicit lanes for the regression, or None to
-            auto-select lanes whose offspring-mean estimate is informative.
+        fit_concentrations: Explicit lanes for the regression, matched by
+            ``same_concentration``, or None to auto-select lanes whose
+            offspring-mean estimate is informative.
     """
 
     high_c_threshold: float
@@ -360,12 +361,16 @@ def fit_dataset(dataset: CtDataset, pipeline: PipelineConfig) -> PipelineFit:
         raise InsufficientDataError(
             f"no lanes at concentration >= {pipeline.high_c_threshold!r}"
         )
-    low_key = _match_lane(groups, pipeline.low_c_choice)
+    low_cts = dataset.cts_at(pipeline.low_c_choice)
+    if not low_cts:
+        raise InsufficientDataError(
+            f"no lane at concentration {pipeline.low_c_choice!r}; grid is {sorted(groups)!r}"
+        )
 
     pooled_high = [ct for cts in high.values() for ct in cts]
     a_hat = estimate_calibration(pooled_high, pipeline.x0)
     sigma_eps_hat = estimate_noise_sd(high.values())
-    n_hat = estimate_generations(groups[low_key], a_hat, pipeline.x0)
+    n_hat = estimate_generations(low_cts, a_hat, pipeline.x0)
     n_used = round_generations(n_hat) if math.isfinite(n_hat) else 0
     # 62 doublings already exhaust the supported count range
     if not 1 <= n_used <= 62:
@@ -408,15 +413,6 @@ def fit_dataset(dataset: CtDataset, pipeline: PipelineConfig) -> PipelineFit:
         estimates=estimates,
         residuals=residuals,
         covariance=covariance,
-    )
-
-
-def _match_lane(groups: dict[float, tuple[float, ...]], concentration: float) -> float:
-    for c in groups:
-        if math.isclose(c, concentration, rel_tol=1e-9, abs_tol=0.0):
-            return c
-    raise InsufficientDataError(
-        f"no lane at concentration {concentration!r}; grid is {sorted(groups)!r}"
     )
 
 

@@ -36,6 +36,11 @@ from .errors import DatasetFormatError, InvalidParameterError
 CSV_COLUMNS = ("concentration", "replicate", "ct")
 
 
+def same_concentration(a: float, b: float) -> bool:
+    """Whether two concentrations name the same lane: equal to a relative 1e-9."""
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=0.0)
+
+
 @dataclass(frozen=True)
 class MeasurementConfig:
     """Parameters of one synthetic qPCR experiment.
@@ -116,13 +121,15 @@ class CtDataset:
         return tuple(sorted({obs.concentration for obs in self.observations}))
 
     def cts_at(self, concentration: float) -> tuple[float, ...]:
-        """Ct values measured at one concentration, in input order."""
+        """Ct values of the lane ``same_concentration`` matches, in input order."""
         return tuple(
-            obs.ct for obs in self.observations if obs.concentration == concentration
+            obs.ct
+            for obs in self.observations
+            if same_concentration(obs.concentration, concentration)
         )
 
     def grouped(self) -> dict[float, tuple[float, ...]]:
-        """Ct values keyed by concentration, keys in increasing order."""
+        """Ct values keyed by the exact recorded concentration, in increasing order."""
         groups: dict[float, list[float]] = {}
         for obs in self.observations:
             groups.setdefault(obs.concentration, []).append(obs.ct)

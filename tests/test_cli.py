@@ -241,6 +241,23 @@ class TestMcStudy:
         )
         assert run(*argv)[1] == run(*argv)[1]
 
+    def test_too_few_successes_is_strict_json(self, run):
+        # 4 of 5 fits fail, so the empirical moments are undefined
+        status, out, _ = run(
+            "mc-study",
+            "--alpha", "10", "--beta", "1",
+            "--grid", "1e6,2e6", "--measurements", "5", "--no-timestamp",
+        )
+        assert status == 0
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["failures"] == 4
+        assert payload["emp_var_alpha"] is None
+        assert payload["mean_alpha"] is not None
+
     def test_zero_threads_is_usage_error(self, run):
         status, _, err = run(
             "mc-study", "--alpha", "10", "--beta", "1", "--grid", "2^-6,2^-4", "--threads", "0"

@@ -12,13 +12,11 @@ from bactipot import (
     InsufficientDataError,
     InvalidParameterError,
     MeanEstimate,
-    RegressionInputs,
     SingularDesignError,
     asymptotic_covariance,
     dist_from_mean,
     estimate_calibration,
     estimate_generations,
-    estimate_log2_mean_total,
     estimate_noise_sd,
     estimate_offspring_mean,
     fit_dose_response,
@@ -33,6 +31,7 @@ from bactipot import (
 )
 from bactipot.estimators import (
     _covariance_sums,
+    _design_sums,
     estimate_offspring_means,
     fit_dose_response_rows,
     invert_mean_totals,
@@ -61,17 +60,29 @@ def estimates_from_curve(alpha, beta, grid, jitter=None):
 
 
 class TestEstimateLog2MeanTotal:
+    """The Ct model solved for log2 of the total per initial cell.
+
+    ``a - log2(x0) - mean(cts)`` is what ``estimate_generations`` returns and
+    what ``estimate_offspring_mean`` clamps and raises to a power of two.
+    """
+
     def test_all_dead_lane(self):
-        assert estimate_log2_mean_total([-LOG2_X0], a=0.0, x0=10**4) == 0.0
+        assert estimate_generations([-LOG2_X0], a_hat=0.0, x0=10**4) == 0.0
+        est = estimate_offspring_mean([-LOG2_X0], a=0.0, x0=10**4, n_generations=10)
+        assert est.mu_hat == 1.0
 
     def test_free_growth_lane(self):
-        assert estimate_log2_mean_total([-LOG2_X0 - 10], a=0.0, x0=10**4) == pytest.approx(
+        assert estimate_generations([-LOG2_X0 - 10], a_hat=0.0, x0=10**4) == pytest.approx(
             10.0, abs=1e-12
         )
+        est = estimate_offspring_mean([-LOG2_X0 - 10], a=0.0, x0=10**4, n_generations=10)
+        assert est.mu_hat == pytest.approx(1024.0, rel=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameterError):
-            estimate_log2_mean_total([], a=0.0, x0=10**4)
+            estimate_generations([], a_hat=0.0, x0=10**4)
+        with pytest.raises(InvalidParameterError):
+            estimate_offspring_mean([], a=0.0, x0=10**4, n_generations=10)
 
     def test_consistency_rate_on_synthetic_lane(self):
         # one lane at the (10, 1) curve, N = 100: the estimate lands within
@@ -84,7 +95,7 @@ class TestEstimateLog2MeanTotal:
             -math.log2(int(t)) + sigma * float(rng.standard_normal())
             for t in (alive + dead)
         ]
-        mu_hat = 2.0 ** estimate_log2_mean_total(cts, a=0.0, x0=x0)
+        mu_hat = estimate_offspring_mean(cts, a=0.0, x0=x0, n_generations=config_n).mu_hat
         mu = mean_total_from_mean(m, config_n)
         band = 3 * sigma * math.log(2) * mu / math.sqrt(n_reps)
         assert abs(mu_hat - mu) < band
@@ -298,18 +309,24 @@ class TestFitDoseResponseRows:
 
 
 class TestRegressionInputs:
+    """The design sums ``(K, L1, L2, D)`` every regression formula is built from."""
+
     def test_needs_two_points(self):
         with pytest.raises(InsufficientDataError):
-            RegressionInputs(((0.0, 1.0),))
+            _design_sums([0.0])
 
     def test_needs_increasing_logs(self):
         with pytest.raises(InvalidParameterError):
-            RegressionInputs(((0.5, 1.0), (0.5, 2.0)))
+            _design_sums([0.5, 0.5])
 
     def test_moments(self):
-        reg = RegressionInputs(((1.0, 0.0), (2.0, 0.0), (3.0, 0.0)))
-        assert reg.k == 3 and reg.l1 == 6.0 and reg.l2 == 14.0
-        assert reg.denominator == 3 * 14.0 - 36.0
+        assert _design_sums([1.0, 2.0, 3.0]) == (3, 6.0, 14.0, 3 * 14.0 - 36.0)
+
+    def test_needs_positive_denominator(self):
+        # two logs a few ulps apart: K*L2 - L1**2 rounds to zero
+        close = math.nextafter(math.nextafter(700.0, math.inf), math.inf)
+        with pytest.raises(SingularDesignError):
+            _design_sums([700.0, close])
 
 
 class TestKFactor:
@@ -325,14 +342,9 @@ class TestKFactor:
         params = GrowthParams(10, 1)
         grid = [2**-6, 2**-4, 2**-2]
         ks = [k_factor(c, params, 10, 0.2) for c in grid]
-        reg = RegressionInputs(
-            tuple(
-                (math.log(c), math.log(2 / mean_from_concentration(params, c) - 1))
-                for c in grid
-            )
-        )
+        ls = [math.log(c) for c in grid]
         flipped = [-k for k in ks]
-        assert _covariance_sums(ks, reg, 10.0, 1.0) == _covariance_sums(flipped, reg, 10.0, 1.0)
+        assert _covariance_sums(ks, ls, 10.0, 1.0) == _covariance_sums(flipped, ls, 10.0, 1.0)
 
     def test_boundary_mean_is_singular(self):
         # untreated lane sits at the free-growth boundary

@@ -236,6 +236,40 @@ class TestFitDataset:
         assert result.fit.used_concentrations == chosen
         assert all(reason == "not-selected" for _, reason in result.fit.excluded)
 
+    @pytest.mark.parametrize("rel", [1e-10, -1e-10])
+    def test_near_concentrations_select_their_lane(self, rel):
+        # lanes named with a rounding difference, as retyped values carry
+        dataset = synthetic_dataset(seed=5)
+        chosen = (2**-5, 2**-4, 2**-2, 2**-1)
+        exact = PipelineConfig(
+            high_c_threshold=2.0, low_c_choice=2**-7, x0=10_000, fit_concentrations=chosen
+        )
+        near = PipelineConfig(
+            high_c_threshold=2.0,
+            low_c_choice=2**-7 * (1 + rel),
+            x0=10_000,
+            fit_concentrations=tuple(c * (1 + rel) for c in chosen),
+        )
+        result = fit_dataset(dataset, near)
+        assert result.fit.used_concentrations == chosen
+        assert result == fit_dataset(dataset, exact)
+
+    def test_far_concentrations_are_still_rejected(self):
+        dataset = synthetic_dataset(seed=5)
+        far_low = PipelineConfig(
+            high_c_threshold=2.0, low_c_choice=2**-7 * (1 + 1e-6), x0=10_000
+        )
+        with pytest.raises(InsufficientDataError, match="no lane"):
+            fit_dataset(dataset, far_low)
+        far_fit = PipelineConfig(
+            high_c_threshold=2.0,
+            low_c_choice=2**-7,
+            x0=10_000,
+            fit_concentrations=(2**-5 * (1 + 1e-6), 2**-4, 2**-2),
+        )
+        with pytest.raises(InvalidParameterError, match="have no estimates"):
+            fit_dataset(dataset, far_fit)
+
     def test_missing_low_lane_is_an_error(self):
         dataset = synthetic_dataset(seed=6)
         pipeline = PipelineConfig(high_c_threshold=2.0, low_c_choice=2**-9, x0=10_000)

@@ -153,6 +153,11 @@ class TestDatasetType:
         assert dataset.concentrations() == (0.25, 0.5)
         assert dataset.grouped() == {0.25: (-2.0,), 0.5: (-1.0, -3.0)}
 
+    def test_lane_lookup_follows_the_concentration_rule(self):
+        dataset = CtDataset((CtObservation(0.5, 1, -1.0), CtObservation(0.5, 2, -3.0)))
+        assert dataset.cts_at(0.5 * (1 + 1e-10)) == (-1.0, -3.0)
+        assert dataset.cts_at(0.5 * (1 + 1e-6)) == ()
+
 
 class TestCsvRoundTrip:
     def test_header_only_is_empty(self):
