@@ -10,11 +10,13 @@ Subcommands::
     curve        tabulated dose-response curve (CSV)
 
 Concentration grids accept ``2^k`` power notation alongside plain decimals,
-e.g. ``--grid "2^-6,2^-4,2^-2"``. The master seed comes from ``--seed``,
-falling back to the BACTIPOT_SEED environment variable, then 0; stochastic
-subcommands log the effective seed to stderr so piped CSV stays clean.
+e.g. ``--grid "2^-6,2^-4,2^-2"``. Every subcommand takes ``-o/--output``;
+only ``simulate``, ``synth`` and ``mc-study`` take ``--seed`` (falling back to
+the BACTIPOT_SEED environment variable, then 0, and logged to stderr), only
+``mc-study`` and ``design-eval`` take ``--pretty``, and only ``fit`` and
+``mc-study`` take ``--no-timestamp``.
 
-Exit status: 0 on success, 1 on data errors, 2 on usage errors.
+Exit status: 0 on success, 1 on data errors or a closed stdout, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -63,7 +65,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        # flush here, so a reader that closes late fails inside this try
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader of stdout is gone; point stdout at devnull so the flush
+        # at interpreter exit cannot fail again (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"bactipot: usage error: {exc}", file=sys.stderr)
         return 2
@@ -81,6 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Branching-process dose-response modeling and MIC estimation.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    defaults = MeasurementConfig()
 
     p = sub.add_parser("simulate", help="simulate branching-process trajectories")
     group = p.add_argument_group("offspring distribution (either --m or --p0/--p1/--p2)")
@@ -91,24 +102,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=int, default=1, help="initial live cells (default 1)")
     p.add_argument("--gens", type=int, default=10, help="generations (default 10)")
     p.add_argument("--reps", type=int, default=1, help="replicate trajectories (default 1)")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("synth", help="synthesize a Ct dataset")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--grid", required=True, help="comma-separated concentrations")
-    p.add_argument("--a", type=float, default=0.0, help="calibration constant (default 0)")
-    p.add_argument("--sigma-eps", type=float, default=0.2, help="Ct noise s.d. (default 0.2)")
-    p.add_argument("--x0", type=int, default=10_000)
-    p.add_argument("--gens", type=int, default=10)
-    p.add_argument("--reps", type=int, default=3, help="replicates per concentration")
+    p.add_argument("--a", type=float, default=defaults.a, help="calibration constant")
+    p.add_argument("--sigma-eps", type=float, default=defaults.sigma_eps, help="Ct noise s.d.")
+    p.add_argument("--x0", type=int, default=defaults.x0)
+    p.add_argument("--gens", type=int, default=defaults.n_generations)
+    p.add_argument("--reps", type=int, default=defaults.replicates, help="replicates per lane")
     p.add_argument(
         "--untreated-lane",
         default=None,
         help="sentinel concentration for an antibiotic-free control lane",
     )
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("fit", help="fit a Ct dataset end to end")
@@ -121,17 +132,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help='regression lanes: "auto" or an explicit comma-separated list',
     )
     p.add_argument("--x0", type=int, required=True)
-    _add_common(p)
+    _add_common(p, timestamp=True)
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("mc-study", help="Monte Carlo estimator validation")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--grid", required=True)
-    p.add_argument("--sigma-eps", type=float, default=0.2)
-    p.add_argument("--x0", type=int, default=10_000)
-    p.add_argument("--gens", type=int, default=10)
-    p.add_argument("--reps", type=int, default=3, help="replicates per concentration")
+    p.add_argument("--sigma-eps", type=float, default=defaults.sigma_eps)
+    p.add_argument("--x0", type=int, default=defaults.x0)
+    p.add_argument("--gens", type=int, default=defaults.n_generations)
+    p.add_argument("--reps", type=int, default=defaults.replicates, help="replicates per lane")
     p.add_argument("--measurements", type=int, default=1000, help="study repetitions")
     p.add_argument(
         "--threads",
@@ -139,21 +150,21 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="accepted for compatibility, >= 1; studies always run in one process",
     )
-    _add_common(p)
+    _add_common(p, seed=True, pretty=True, timestamp=True)
     p.set_defaults(handler=_cmd_mc_study)
 
     p = sub.add_parser("design-eval", help="rank concentration designs analytically")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--gens", type=int, default=10)
-    p.add_argument("--sigma-eps", type=float, default=0.2)
+    p.add_argument("--gens", type=int, default=defaults.n_generations)
+    p.add_argument("--sigma-eps", type=float, default=defaults.sigma_eps)
     p.add_argument(
         "--designs",
         action="append",
         required=True,
         help="design grid; repeat the flag or separate designs with ';'",
     )
-    _add_common(p)
+    _add_common(p, pretty=True)
     p.set_defaults(handler=_cmd_design_eval)
 
     p = sub.add_parser("curve", help="tabulate a dose-response curve")
@@ -167,11 +178,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="master seed (env BACTIPOT_SEED, then 0)")
+def _add_common(p: argparse.ArgumentParser, *, seed=False, pretty=False, timestamp=False) -> None:
     p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
-    p.add_argument("--pretty", action="store_true", help="human-readable table output")
-    p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp from JSON output")
+    if seed:
+        p.add_argument("--seed", type=int, help="master seed (env BACTIPOT_SEED, then 0)")
+    if pretty:
+        p.add_argument("--pretty", action="store_true", help="human-readable table output")
+    if timestamp:
+        p.add_argument("--no-timestamp", action="store_true", help="omit the JSON timestamp")
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +225,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         sentinel = _parse_number(args.untreated_lane, "--untreated-lane")
     seed = _effective_seed(args)
     _log_seed(seed)
-    config = MeasurementConfig(
-        a=args.a,
-        sigma_eps=args.sigma_eps,
-        x0=args.x0,
-        n_generations=args.gens,
-        replicates=args.reps,
-    )
     dataset = simulate_experiment(
         GrowthParams(args.alpha, args.beta),
         grid,
-        config,
+        _measurement_config(args),
         spawn_rng(seed),
         untreated_lane=sentinel,
     )
@@ -260,13 +267,7 @@ def _cmd_mc_study(args: argparse.Namespace) -> int:
     config = McStudyConfig(
         params=GrowthParams(args.alpha, args.beta),
         grid=tuple(grid),
-        measurement=MeasurementConfig(
-            a=0.0,
-            sigma_eps=args.sigma_eps,
-            x0=args.x0,
-            n_generations=args.gens,
-            replicates=args.reps,
-        ),
+        measurement=_measurement_config(args),
         n_measurements=args.measurements,
         seed=seed,
     )
@@ -346,6 +347,17 @@ def _offspring_from_args(args: argparse.Namespace) -> OffspringDistribution:
     if any(p is None for p in probs):
         raise UsageError("give either --m or all of --p0, --p1, --p2")
     return OffspringDistribution(*probs)
+
+
+def _measurement_config(args: argparse.Namespace) -> MeasurementConfig:
+    # mc-study takes no --a: its plates keep the default calibration constant
+    return MeasurementConfig(
+        a=getattr(args, "a", MeasurementConfig.a),
+        sigma_eps=args.sigma_eps,
+        x0=args.x0,
+        n_generations=args.gens,
+        replicates=args.reps,
+    )
 
 
 def _effective_seed(args: argparse.Namespace) -> int:

@@ -42,7 +42,7 @@ from .measurement import same_concentration
 
 _LOG2 = math.log(2.0)
 
-#: Default keep-band for offspring-mean estimates entering the regression.
+#: Keep-band of the default lane selection of ``fit_dose_response``.
 #: Estimates near 0 or 2 carry almost no dose-response information and blow
 #: up the log transform, so they are excluded unless the caller explicitly
 #: selects their concentrations.
@@ -266,7 +266,6 @@ def estimate_offspring_mean(
 def fit_dose_response(
     estimates: Sequence[MeanEstimate],
     concentrations: Sequence[float] | None = None,
-    m_band: tuple[float, float] = DEFAULT_M_BAND,
 ) -> FitResult:
     """Least-squares fit of the dose-response parameters.
 
@@ -279,8 +278,8 @@ def fit_dose_response(
 
     Lane selection: boundary estimates (``m_hat`` of exactly 0 or 2, where
     the log transform is undefined) are always excluded. With
-    ``concentrations=None`` the default band filter keeps lanes whose
-    ``m_hat`` lies inside ``m_band``; passing an explicit concentration
+    ``concentrations=None`` the band filter keeps lanes whose ``m_hat``
+    lies inside ``DEFAULT_M_BAND``; passing an explicit concentration
     subset overrides the band and uses exactly those lanes, each matched by
     ``measurement.same_concentration``.
 
@@ -311,7 +310,7 @@ def fit_dose_response(
         elif est.m_hat <= 0.0 or est.m_hat >= 2.0:
             side = "zero" if est.m_hat <= 0.0 else "two"
             excluded.append((est.concentration, f"boundary-{side}"))
-        elif subset is None and not (m_band[0] <= est.m_hat <= m_band[1]):
+        elif subset is None and not (DEFAULT_M_BAND[0] <= est.m_hat <= DEFAULT_M_BAND[1]):
             excluded.append((est.concentration, "outside-band"))
         else:
             used.append(est)

@@ -28,7 +28,6 @@ from .errors import (
     SingularDesignError,
 )
 from .estimators import (
-    DEFAULT_M_BAND,
     AsymptoticCovariance,
     FitResult,
     MeanEstimate,
@@ -210,12 +209,15 @@ class PipelineFit:
 
 @dataclass(frozen=True)
 class DesignEvaluation:
-    """Asymptotic covariance of one candidate design, or a singular marker."""
+    """Asymptotic covariance of one candidate design; None marks it singular."""
 
     design: tuple[float, ...]
     covariance: AsymptoticCovariance | None
-    singular: bool
     best: bool
+
+    @property
+    def singular(self) -> bool:
+        return self.covariance is None
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +330,7 @@ def evaluate_designs(
         if cov is not None and cov.sigma2_theta < best_value:
             best_index, best_value = i, cov.sigma2_theta
     return [
-        DesignEvaluation(design, cov, singular=cov is None, best=(i == best_index))
+        DesignEvaluation(design, cov, best=(i == best_index))
         for i, (design, cov) in enumerate(rows)
     ]
 
@@ -383,9 +385,7 @@ def fit_dataset(dataset: CtDataset, pipeline: PipelineConfig) -> PipelineFit:
         estimate_offspring_mean(cts, a_hat, pipeline.x0, n_used, concentration=c)
         for c, cts in groups.items()
     )
-    fit = fit_dose_response(
-        estimates, concentrations=pipeline.fit_concentrations, m_band=DEFAULT_M_BAND
-    )
+    fit = fit_dose_response(estimates, concentrations=pipeline.fit_concentrations)
 
     fitted = GrowthParams(fit.alpha_hat, fit.beta_hat)
     residuals = tuple(
@@ -421,19 +421,12 @@ def fit_dataset(dataset: CtDataset, pipeline: PipelineConfig) -> PipelineFit:
 # ---------------------------------------------------------------------------
 
 
-def emit_curve(
-    source: FitResult | GrowthParams, concentrations: Sequence[float]
-) -> list[tuple[float, float]]:
+def emit_curve(params: GrowthParams, concentrations: Sequence[float]) -> list[tuple[float, float]]:
     """Tabulate the dose-response curve at the given concentrations.
 
-    Accepts either a fit result (uses the fitted parameters) or explicit
-    parameters. Output is ``(concentration, offspring mean)`` pairs, strictly
-    decreasing in the mean as concentration grows.
+    Output is ``(concentration, offspring mean)`` pairs, strictly decreasing
+    in the mean as concentration grows.
     """
-    if isinstance(source, FitResult):
-        params = GrowthParams(source.alpha_hat, source.beta_hat)
-    else:
-        params = source
     return [(c, mean_from_concentration(params, c)) for c in concentrations]
 
 

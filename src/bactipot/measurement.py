@@ -41,6 +41,21 @@ def same_concentration(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=0.0)
 
 
+def _check_distinct_lanes(concentrations: Iterable[float]) -> None:
+    """Reject two distinct concentrations that ``same_concentration`` calls the same.
+
+    Such twins would be two lanes to ``CtDataset.grouped`` but one lane to
+    ``CtDataset.cts_at``. Checking neighbours in sorted order suffices: if
+    ``a < b < c`` and ``a`` matches ``c``, then ``a`` also matches ``b``.
+    """
+    ordered = sorted(set(concentrations))
+    for a, b in zip(ordered, ordered[1:]):
+        if same_concentration(a, b):
+            raise InvalidParameterError(
+                f"concentrations {a!r} and {b!r} are distinct but name the same lane"
+            )
+
+
 @dataclass(frozen=True)
 class MeasurementConfig:
     """Parameters of one synthetic qPCR experiment.
@@ -95,6 +110,8 @@ class CtObservation:
 class CtDataset:
     """An ordered collection of Ct observations over a concentration grid.
 
+    Each (concentration, replicate) pair appears at most once, and no two
+    distinct concentrations name the same lane by ``same_concentration``.
     ``config`` is carried along for synthetic data and absent (None) for
     ingested lab data.
     """
@@ -112,6 +129,7 @@ class CtDataset:
                     f"duplicate (concentration, replicate) pair {key!r}"
                 )
             seen.add(key)
+        _check_distinct_lanes(key[0] for key in seen)
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -179,7 +197,8 @@ def synthesize_plates(
 
 
 def check_grid(concentrations: Sequence[float]) -> None:
-    """Reject a concentration grid that is empty, non-positive or not increasing."""
+    """Reject a concentration grid that is empty, non-positive, not
+    increasing or holds two concentrations that name the same lane."""
     grid = list(concentrations)
     if not grid:
         raise InvalidParameterError("concentration grid must be non-empty")
@@ -187,6 +206,7 @@ def check_grid(concentrations: Sequence[float]) -> None:
         raise InvalidParameterError("concentrations must be finite and positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameterError("concentrations must be strictly increasing")
+    _check_distinct_lanes(grid)
 
 
 def simulate_experiment(
@@ -254,7 +274,8 @@ def read_dataset(source: str | Path | IO[str]) -> CtDataset:
 
     Raises:
         DatasetFormatError: on a bad header, malformed number, out-of-domain
-            value, or duplicate (concentration, replicate) pair.
+            value, duplicate (concentration, replicate) pair, or two distinct
+            concentrations that name the same lane.
     """
     with _open_text(source, "r") as stream:
         reader = csv.reader(stream)
@@ -287,7 +308,10 @@ def read_dataset(source: str | Path | IO[str]) -> CtDataset:
                 )
             seen.add(key)
             observations.append(obs)
-    return CtDataset(tuple(observations), config=None)
+    try:
+        return CtDataset(tuple(observations), config=None)
+    except InvalidParameterError as exc:  # two concentrations name one lane
+        raise DatasetFormatError(str(exc)) from None
 
 
 def write_dataset(dataset: CtDataset, sink: str | Path | IO[str]) -> None:

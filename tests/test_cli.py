@@ -3,6 +3,12 @@
 import csv
 import io
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +34,15 @@ def run(capsys, monkeypatch):
 
 def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def cli_env():
+    """Environment for a ``python -m bactipot.cli`` subprocess on this checkout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestSimulate:
@@ -353,6 +368,109 @@ class TestCurve:
     def test_bad_range_is_usage_error(self, run):
         status, _, err = run("curve", "--alpha", "10", "--beta", "1", "--range", "1:0.5")
         assert status == 2 and "--range" in err
+
+
+class TestFlags:
+    VALID = {
+        "simulate": ("--m", "1.5", "--x0", "10", "--gens", "2"),
+        "synth": ("--alpha", "10", "--beta", "1", "--grid", "2^-6,2^-4"),
+        "fit": ("--input", "-", "--high-c", "2", "--low-c", "2^-7", "--x0", "10000"),
+        "design-eval": ("--alpha", "10", "--beta", "1", "--designs", "2^-6,2^-4,2^-2"),
+        "curve": ("--alpha", "10", "--beta", "1", "--range", "2^-4:1", "--points", "5"),
+    }
+
+    @pytest.mark.parametrize(
+        "subcommand, flag",
+        [
+            ("simulate", "--pretty"),
+            ("simulate", "--no-timestamp"),
+            ("synth", "--pretty"),
+            ("synth", "--no-timestamp"),
+            ("fit", "--seed"),
+            ("fit", "--pretty"),
+            ("design-eval", "--seed"),
+            ("design-eval", "--no-timestamp"),
+            ("curve", "--seed"),
+            ("curve", "--pretty"),
+            ("curve", "--no-timestamp"),
+        ],
+    )
+    def test_flag_the_handler_never_reads_is_usage_error(self, run, subcommand, flag):
+        _, plate, _ = run(
+            "synth", "--alpha", "10", "--beta", "1", "--a", "20", "--seed", "1",
+            "--grid", "2^-7,2^-6,2^-5,2^-4,2^-3,2^-2,2^-1,1,2,4,8,16",
+        )
+        args = self.VALID[subcommand]
+        assert run(subcommand, *args, stdin=plate)[0] == 0
+        extra = (flag, "3") if flag == "--seed" else (flag,)
+        status, out, err = run(subcommand, *args, *extra, stdin=plate)
+        assert status == 2 and out == ""
+        assert "unrecognized arguments" in err and flag in err
+
+
+class TestTwinLanes:
+    @pytest.mark.parametrize("subcommand", ["synth", "mc-study"])
+    def test_twin_grid_lanes_fail_before_simulating(self, run, subcommand):
+        # 2^-5 and 2^-5 * (1 + 1e-10) would be two lanes that name the same one
+        status, out, err = run(
+            subcommand, "--alpha", "10", "--beta", "1",
+            "--grid", f"2^-6,2^-5,{2**-5 * (1 + 1e-10)!r}",
+        )
+        assert status == 1 and out == ""
+        assert "same lane" in err and len(err.strip().splitlines()) == 2  # seed=, error
+
+    def test_twin_lanes_in_a_dataset_are_data_error(self, run):
+        text = "concentration,replicate,ct\n0.03125,1,-10.5\n0.031250000003125,1,-10.4\n"
+        status, out, err = run(
+            "fit", "--input", "-", "--high-c", "2", "--low-c", "2^-7", "--x0", "10", stdin=text
+        )
+        assert status == 1 and out == "" and "same lane" in err
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize(
+        "points, lines_read",
+        [
+            (100_000, 1),  # the reader leaves while the handler still writes
+            (5, 0),  # the reader leaves before the handler's output is flushed
+        ],
+    )
+    def test_closed_stdout_exits_one_quietly(self, points, lines_read):
+        env = cli_env()
+        env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered by default
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bactipot.cli", "curve", "--alpha", "10", "--beta", "1",
+             "--range", "2^-9:1", "--points", str(points)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        for _ in range(lines_read):
+            proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1 and err == b""
+
+
+def test_readme_cli_examples_run(tmp_path):
+    # every command of README's CLI block, continuation lines joined
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", text, re.S | re.M).group(1)
+    lines = re.sub(r"\\\n\s*", "", block).splitlines()
+    commands = [line for line in lines if line.strip() and not line.startswith("#")]
+    assert len(commands) >= 6
+    module = f"{shlex.quote(sys.executable)} -m bactipot.cli "
+    failures = []
+    for command in commands:
+        # pipefail: the synth | fit example fails if either side does
+        shell = re.sub(r"(^|\| )bactipot ", lambda m: m.group(1) + module, command)
+        proc = subprocess.run(
+            ["bash", "-o", "pipefail", "-c", shell],
+            capture_output=True, text=True, env=cli_env(), cwd=tmp_path, timeout=120,
+        )
+        if proc.returncode != 0:
+            failures.append((command, proc.returncode, proc.stderr.strip()))
+    assert failures == []
 
 
 class TestSeedsAndErrors:

@@ -8,7 +8,7 @@ from bactipot import (
     CtDataset,
     asymptotic_covariance,
     CtObservation,
-    FitResult,
+    DesignEvaluation,
     GrowthParams,
     InsufficientDataError,
     InvalidParameterError,
@@ -62,6 +62,9 @@ class TestRunMcStudy:
     def test_grid_is_validated(self):
         with pytest.raises(InvalidParameterError):
             study_config(grid=(2**-4, 2**-6))
+        with pytest.raises(InvalidParameterError, match="same lane"):
+            study_config(grid=(2**-5, 2**-5 * (1 + 1e-10)))
+        study_config(grid=(2**-5, 2**-5 * (1 + 1e-6)))
 
     def test_noiseless_study_recovers_parameters(self):
         # with zero Ct noise the only variability left is branching noise,
@@ -148,6 +151,13 @@ class TestEvaluateDesigns:
         )
         assert not rows[0].singular and rows[1].singular
         assert rows[1].covariance is None and rows[0].best
+
+    def test_singular_follows_the_covariance(self):
+        [row] = evaluate_designs([REFERENCE_DESIGN], GrowthParams(10, 1), 10, 0.2)
+        assert not row.singular
+        assert DesignEvaluation(REFERENCE_DESIGN, None, best=False).singular
+        with pytest.raises(TypeError):
+            DesignEvaluation(REFERENCE_DESIGN, row.covariance, singular=True, best=False)
 
     def test_zero_noise_rows_are_zero(self):
         rows = evaluate_designs([REFERENCE_DESIGN], GrowthParams(10, 1), 10, 0.0)
@@ -342,13 +352,7 @@ class TestFitDataset:
 
 class TestEmitCurve:
     def test_unit_mean_at_the_mic(self):
-        fit = FitResult(
-            alpha_hat=10.0,
-            beta_hat=1.0,
-            mic_hat=mic(10.0, 1.0),
-            used_concentrations=REFERENCE_DESIGN,
-        )
-        [(_, value)] = emit_curve(fit, [fit.mic_hat])
+        [(_, value)] = emit_curve(GrowthParams(10.0, 1.0), [mic(10.0, 1.0)])
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_approaches_free_growth_at_low_concentration(self):

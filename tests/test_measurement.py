@@ -24,6 +24,10 @@ from bactipot import (
 )
 
 
+#: Names the lane at 2**-5 by ``same_concentration`` without being equal to it.
+TWIN = 2**-5 * (1 + 1e-10)
+
+
 def noiseless_config(**overrides):
     base = dict(a=0.0, sigma_eps=0.0, x0=10_000, n_generations=10, replicates=3)
     base.update(overrides)
@@ -134,6 +138,8 @@ class TestSimulateExperiment:
             simulate_experiment(GrowthParams(10, 1), [0.5, 0.5], config, spawn_rng(0))
         with pytest.raises(InvalidParameterError):
             simulate_experiment(GrowthParams(10, 1), [-1.0, 0.5], config, spawn_rng(0))
+        with pytest.raises(InvalidParameterError, match="same lane"):
+            simulate_experiment(GrowthParams(10, 1), [2**-5, TWIN], config, spawn_rng(0))
 
 
 class TestDatasetType:
@@ -152,6 +158,22 @@ class TestDatasetType:
         )
         assert dataset.concentrations() == (0.25, 0.5)
         assert dataset.grouped() == {0.25: (-2.0,), 0.5: (-1.0, -3.0)}
+
+    def test_twin_lanes_rejected(self):
+        # grouped() would see two lanes where cts_at(2**-5) sees one
+        obs = (
+            CtObservation(2**-5, 1, -10.0),
+            CtObservation(2**-5, 2, -10.5),
+            CtObservation(TWIN, 1, -11.0),
+        )
+        with pytest.raises(InvalidParameterError, match="same lane"):
+            CtDataset(obs)
+
+    def test_lanes_a_millionth_apart_are_distinct(self):
+        near = 2**-5 * (1 + 1e-6)
+        dataset = CtDataset((CtObservation(2**-5, 1, -10.0), CtObservation(near, 1, -11.0)))
+        assert dataset.grouped() == {2**-5: (-10.0,), near: (-11.0,)}
+        assert dataset.cts_at(2**-5) == (-10.0,)
 
     def test_lane_lookup_follows_the_concentration_rule(self):
         dataset = CtDataset((CtObservation(0.5, 1, -1.0), CtObservation(0.5, 2, -3.0)))
@@ -243,6 +265,11 @@ class TestCsvErrors:
     def test_duplicate_key_names_the_line(self):
         text = "concentration,replicate,ct\n0.25,1,-10.5\n0.25,1,-10.6\n"
         with pytest.raises(DatasetFormatError, match="line 3"):
+            read_dataset(io.StringIO(text))
+
+    def test_twin_lanes_rejected(self):
+        text = f"concentration,replicate,ct\n0.03125,1,-10.5\n0.03125,2,-10.6\n{TWIN!r},1,-10.4\n"
+        with pytest.raises(DatasetFormatError, match="same lane"):
             read_dataset(io.StringIO(text))
 
     def test_wrong_field_count(self):
