@@ -146,8 +146,7 @@ def dist_from_mean(mean: float) -> OffspringDistribution:
     Args:
         mean: Target offspring mean in [0, 2].
     """
-    if not (0.0 <= mean <= 2.0) or math.isnan(mean):
-        raise InvalidParameterError(f"offspring mean must lie in [0, 2], got {mean!r}")
+    _check_mean(mean)
     half = mean / 2.0
     return OffspringDistribution(1.0 - half, 0.0, half)
 
@@ -173,10 +172,9 @@ def mean_total_from_mean(mean: float, n_generations: int) -> float:
     convexly from 1 to ``2**n``, which makes it invertible (see
     ``estimators.invert_mean_total``).
     """
-    if not (0.0 <= mean <= 2.0) or math.isnan(mean):
-        raise InvalidParameterError(f"offspring mean must lie in [0, 2], got {mean!r}")
+    _check_mean(mean)
     _check_generations(n_generations, minimum=0)
-    return 0.5 * mean * _horner(repeat(1.0, n_generations), mean) + 1.0
+    return _growth_curve(mean, n_generations)
 
 
 def mean_total_derivative(mean: float, n_generations: int) -> float:
@@ -186,8 +184,7 @@ def mean_total_derivative(mean: float, n_generations: int) -> float:
     polynomial. The covariance formulas divide by this quantity, so it is
     computed analytically rather than by finite differences.
     """
-    if not (0.0 <= mean <= 2.0) or math.isnan(mean):
-        raise InvalidParameterError(f"offspring mean must lie in [0, 2], got {mean!r}")
+    _check_mean(mean)
     _check_generations(n_generations, minimum=1)
     return 0.5 * _horner(range(n_generations, 0, -1), mean)
 
@@ -369,12 +366,23 @@ def simulate_batch(
     return advance(alive, np.zeros_like(alive), *probs, n_generations, rng)
 
 
+def _growth_curve(m, n_generations: int):
+    # mean_total_from_mean without its checks, for callers that hold valid
+    # values; float or array m
+    return 0.5 * m * _horner(repeat(1.0, n_generations), m) + 1.0
+
+
 def _horner(coefficients: Iterable[float], x):
     # float or array x: each element sees the scalar operations, in order
     acc = 0.0
     for c in coefficients:
         acc = acc * x + c
     return acc
+
+
+def _check_mean(mean: float) -> None:
+    if not 0.0 <= mean <= 2.0:  # NaN fails every comparison
+        raise InvalidParameterError(f"offspring mean must lie in [0, 2], got {mean!r}")
 
 
 def _check_generations(n_generations: int, minimum: int) -> None:

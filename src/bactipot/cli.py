@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -38,7 +39,7 @@ from .branching import (
     simulate,
     simulate_batch,
 )
-from .errors import BactipotError
+from .errors import BactipotError, InvalidParameterError
 from .harness import (
     McStudyConfig,
     PipelineConfig,
@@ -48,7 +49,13 @@ from .harness import (
     log_spaced_grid,
     run_mc_study,
 )
-from .measurement import MeasurementConfig, read_dataset, simulate_experiment, write_dataset
+from .measurement import (
+    MeasurementConfig,
+    check_grid,
+    read_dataset,
+    simulate_experiment,
+    write_dataset,
+)
 from .seeding import spawn_rng
 
 _POWER = re.compile(r"^([+-]?\d+(?:\.\d+)?)\^([+-]?\d+(?:\.\d+)?)$")
@@ -390,23 +397,20 @@ def _parse_number(token: str, flag: str) -> float:
     match = _POWER.match(text)
     try:
         if match:
-            return float(match.group(1)) ** float(match.group(2))
+            # math.pow raises where ** would give a complex or divide by zero
+            return math.pow(float(match.group(1)), float(match.group(2)))
         return float(text)
     except (ValueError, OverflowError):
         raise UsageError(f"{flag}: cannot parse number {token!r}") from None
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
-    tokens = [t for t in text.split(",") if t.strip()]
-    if not tokens:
-        raise UsageError(f"{flag}: empty grid")
-    values = [_parse_number(t, flag) for t in tokens]
-    if any(v <= 0.0 for v in values):
-        raise UsageError(f"{flag}: concentrations must be positive")
-    ordered = sorted(values)
-    if any(b <= a for a, b in zip(ordered, ordered[1:])):
-        raise UsageError(f"{flag}: duplicate concentrations in {text!r}")
-    return ordered
+    grid = sorted(_parse_number(t, flag) for t in text.split(",") if t.strip())
+    try:
+        check_grid(grid)
+    except InvalidParameterError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+    return grid
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, float]:

@@ -25,20 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .branching import (
-    GrowthParams,
-    _horner,
-    mean_from_concentration,
-    mean_total_derivative,
-    mean_total_from_mean,
-)
+from .branching import GrowthParams, _growth_curve, mean_from_concentration, mean_total_derivative
 from .errors import InsufficientDataError, InvalidParameterError, SingularDesignError
-from .measurement import same_concentration
+from .measurement import check_grid, same_concentration
 
 _LOG2 = math.log(2.0)
 
@@ -48,8 +41,8 @@ _LOG2 = math.log(2.0)
 #: selects their concentrations.
 DEFAULT_M_BAND = (0.05, 1.95)
 
-_BISECTION_TOL = 1e-12
-_BISECTION_MAX_ITER = 200
+# Halvings of [0, 2] that leave a bracket of 2**-40 < 1e-12 around the mean.
+_BISECTION_STEPS = 41
 
 _CT_OVERFLOW = "Ct values are too large: their sums overflow the floating-point range"
 
@@ -144,8 +137,9 @@ def invert_mean_total(mu: float, n_generations: int) -> float:
     """Offspring mean whose death-or-divide growth curve reaches ``mu``.
 
     Inverts ``mean_total_from_mean(., n)``, which maps [0, 2] strictly
-    increasingly onto [1, 2**n], by bisection to absolute tolerance 1e-12 in
-    the mean. Exact at both endpoints.
+    increasingly onto [1, 2**n], by 41 halvings of [0, 2]: the result is the
+    midpoint of a final bracket 2**-40 (under 1e-12) wide. Exact at both
+    endpoints.
 
     Raises:
         InvalidParameterError: if ``mu`` lies outside [1, 2**n]. Callers are
@@ -163,11 +157,9 @@ def invert_mean_total(mu: float, n_generations: int) -> float:
     if mu == upper:
         return 2.0
     lo, hi = 0.0, 2.0
-    for _ in range(_BISECTION_MAX_ITER):
-        if hi - lo <= _BISECTION_TOL:
-            break
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if mean_total_from_mean(mid, n_generations) < mu:
+        if _growth_curve(mid, n_generations) < mu:
             lo = mid
         else:
             hi = mid
@@ -177,8 +169,7 @@ def invert_mean_total(mu: float, n_generations: int) -> float:
 def invert_mean_totals(mu: np.ndarray, n_generations: int) -> np.ndarray:
     """``invert_mean_total`` applied to every element of an array, bit for bit.
 
-    Every element starts from [0, 2] and halves its bracket in the same
-    step, so all elements stop after the same number of steps; each step
+    Every element takes the same 41 halvings of [0, 2], and each step
     evaluates the growth curve with the scalar Horner recurrence, operation
     for operation, so the results equal the scalar ones exactly.
 
@@ -194,12 +185,9 @@ def invert_mean_totals(mu: np.ndarray, n_generations: int) -> np.ndarray:
         )
     lo = np.zeros_like(mu)
     hi = np.full_like(mu, 2.0)
-    for _ in range(_BISECTION_MAX_ITER):
-        if mu.size == 0 or np.max(hi - lo) <= _BISECTION_TOL:
-            break
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        # mean_total_from_mean(mid, n), one element per lane
-        below = 0.5 * mid * _horner(repeat(1.0, n_generations), mid) + 1.0 < mu
+        below = _growth_curve(mid, n_generations) < mu
         np.copyto(lo, mid, where=below)
         np.copyto(hi, mid, where=~below)
     m = 0.5 * (lo + hi)
@@ -284,15 +272,14 @@ def fit_dose_response(
     ``measurement.same_concentration``.
 
     Raises:
+        InvalidParameterError: if the estimates' concentrations, sorted, are
+            not a grid that ``measurement.check_grid`` accepts.
         InsufficientDataError: if fewer than two usable lanes remain; the
             message names the excluded lanes and reasons.
     """
     ordered = sorted(estimates, key=lambda e: e.concentration)
     cs = [e.concentration for e in ordered]
-    if any(not (c > 0.0) or math.isnan(c) for c in cs):
-        raise InvalidParameterError("every estimate must carry a positive concentration")
-    if any(b <= a for a, b in zip(cs, cs[1:])):
-        raise InvalidParameterError("estimates must have distinct concentrations")
+    check_grid(cs)
 
     subset = None if concentrations is None else list(concentrations)
     if subset is not None:
@@ -408,7 +395,7 @@ def k_factor(
         raise SingularDesignError(
             f"offspring mean {m} at concentration {concentration} is on the boundary"
         )
-    gain = sigma_eps * mean_total_from_mean(m, n_generations) * _LOG2
+    gain = sigma_eps * _growth_curve(m, n_generations) * _LOG2
     slope = mean_total_derivative(m, n_generations)
     k = -2.0 / (m * (2.0 - m)) * gain / slope
     # an overflowed slope would silently turn the gain into zero
@@ -440,12 +427,13 @@ def asymptotic_covariance(
     ``k_factor``. All four vanish when ``sigma_eps`` is zero.
 
     Raises:
+        InvalidParameterError: if the concentrations, sorted, are not a grid
+            that ``measurement.check_grid`` accepts.
         SingularDesignError: if a lane is on the boundary or an entry
             overflows the floating-point range.
     """
     cs = sorted(concentrations)
-    if len(set(cs)) != len(cs):
-        raise InvalidParameterError("design concentrations must be distinct")
+    check_grid(cs)
     ks = [k_factor(c, params, n_generations, sigma_eps) for c in cs]
     sums = _covariance_sums(ks, [math.log(c) for c in cs], params.alpha, params.beta)
     return AsymptoticCovariance(*sums, k_factors=tuple(ks))

@@ -41,15 +41,26 @@ def same_concentration(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=0.0)
 
 
-def _check_distinct_lanes(concentrations: Iterable[float]) -> None:
-    """Reject two distinct concentrations that ``same_concentration`` calls the same.
+def check_grid(concentrations: Sequence[float]) -> None:
+    """The one rule for a concentration grid: non-empty, finite and positive,
+    strictly increasing, and no two concentrations naming the same lane.
 
-    Such twins would be two lanes to ``CtDataset.grouped`` but one lane to
-    ``CtDataset.cts_at``. Checking neighbours in sorted order suffices: if
-    ``a < b < c`` and ``a`` matches ``c``, then ``a`` also matches ``b``.
+    Twins, two distinct concentrations that ``same_concentration`` calls the
+    same, would be two lanes to ``CtDataset.grouped`` but one lane to
+    ``CtDataset.cts_at``. Checking neighbours suffices: if ``a < b < c`` and
+    ``a`` matches ``c``, then ``a`` also matches ``b``.
     """
-    ordered = sorted(set(concentrations))
-    for a, b in zip(ordered, ordered[1:]):
+    grid = list(concentrations)
+    if not grid:
+        raise InvalidParameterError("concentration grid must be non-empty")
+    for c in grid:
+        if not 0.0 < c < math.inf:
+            raise InvalidParameterError(f"concentrations must be finite and positive, got {c!r}")
+    for a, b in zip(grid, grid[1:]):
+        if b <= a:
+            raise InvalidParameterError(
+                f"concentrations must be strictly increasing, got {a!r} then {b!r}"
+            )
         if same_concentration(a, b):
             raise InvalidParameterError(
                 f"concentrations {a!r} and {b!r} are distinct but name the same lane"
@@ -129,7 +140,8 @@ class CtDataset:
                     f"duplicate (concentration, replicate) pair {key!r}"
                 )
             seen.add(key)
-        _check_distinct_lanes(key[0] for key in seen)
+        if seen:
+            check_grid(sorted({c for c, _ in seen}))
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -196,19 +208,6 @@ def synthesize_plates(
     return cts.reshape(len(dists), plates, config.replicates).transpose(1, 0, 2)
 
 
-def check_grid(concentrations: Sequence[float]) -> None:
-    """Reject a concentration grid that is empty, non-positive, not
-    increasing or holds two concentrations that name the same lane."""
-    grid = list(concentrations)
-    if not grid:
-        raise InvalidParameterError("concentration grid must be non-empty")
-    if not all(0.0 < c < math.inf for c in grid):
-        raise InvalidParameterError("concentrations must be finite and positive")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InvalidParameterError("concentrations must be strictly increasing")
-    _check_distinct_lanes(grid)
-
-
 def simulate_experiment(
     params: GrowthParams,
     concentrations: Sequence[float],
@@ -273,41 +272,46 @@ def read_dataset(source: str | Path | IO[str]) -> CtDataset:
         source: Path or open text stream holding CSV per the module schema.
 
     Raises:
-        DatasetFormatError: on a bad header, malformed number, out-of-domain
-            value, duplicate (concentration, replicate) pair, or two distinct
-            concentrations that name the same lane.
+        DatasetFormatError: on text that is not UTF-8 or not CSV (such as a
+            field over the csv module's size limit), a bad header, malformed
+            number, out-of-domain value, duplicate (concentration, replicate)
+            pair, or two distinct concentrations that name the same lane.
     """
     with _open_text(source, "r") as stream:
         reader = csv.reader(stream)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError("empty file: missing header") from None
-        _check_header(header)
+            header = next(reader, None)
+            if header is None:
+                raise DatasetFormatError("empty file: missing header")
+            _check_header(header)
 
-        observations: list[CtObservation] = []
-        seen: set[tuple[float, int]] = set()
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DatasetFormatError(
-                    f"expected 3 fields, got {len(row)}", line=line
-                )
-            concentration = _parse_float(row[0], "concentration", line)
-            replicate = _parse_int(row[1], "replicate", line)
-            ct = _parse_float(row[2], "ct", line)
-            try:
-                obs = CtObservation(concentration, replicate, ct)
-            except InvalidParameterError as exc:
-                raise DatasetFormatError(str(exc), line=line) from None
-            key = (obs.concentration, obs.replicate)
-            if key in seen:
-                raise DatasetFormatError(
-                    f"duplicate (concentration, replicate) pair {key!r}", line=line
-                )
-            seen.add(key)
-            observations.append(obs)
+            observations: list[CtObservation] = []
+            seen: set[tuple[float, int]] = set()
+            for line, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise DatasetFormatError(
+                        f"expected 3 fields, got {len(row)}", line=line
+                    )
+                concentration = _parse_float(row[0], "concentration", line)
+                replicate = _parse_int(row[1], "replicate", line)
+                ct = _parse_float(row[2], "ct", line)
+                try:
+                    obs = CtObservation(concentration, replicate, ct)
+                except InvalidParameterError as exc:
+                    raise DatasetFormatError(str(exc), line=line) from None
+                key = (obs.concentration, obs.replicate)
+                if key in seen:
+                    raise DatasetFormatError(
+                        f"duplicate (concentration, replicate) pair {key!r}", line=line
+                    )
+                seen.add(key)
+                observations.append(obs)
+        except csv.Error as exc:
+            raise DatasetFormatError(f"malformed CSV: {exc}", line=reader.line_num) from None
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"text is not UTF-8: {exc.reason}") from None
     try:
         return CtDataset(tuple(observations), config=None)
     except InvalidParameterError as exc:  # two concentrations name one lane

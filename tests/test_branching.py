@@ -96,10 +96,22 @@ class TestDistFromMean:
     def test_mean_round_trip(self, m):
         assert dist_from_mean(m).mean == pytest.approx(m, abs=1e-12)
 
-    @pytest.mark.parametrize("m", [-0.1, 2.1, math.nan])
-    def test_rejects_out_of_range(self, m):
-        with pytest.raises(InvalidParameterError):
-            dist_from_mean(m)
+    # one mean check serves all three; the dist_from_mean cases keep bare ids
+    @pytest.mark.parametrize(
+        "check, m",
+        [
+            pytest.param(check, m, id=f"{prefix}{m}")
+            for prefix, check in [
+                ("", dist_from_mean),
+                ("mean_total_from_mean-", lambda m: mean_total_from_mean(m, 10)),
+                ("mean_total_derivative-", lambda m: mean_total_derivative(m, 10)),
+            ]
+            for m in [-0.1, 2.1, math.nan]
+        ],
+    )
+    def test_rejects_out_of_range(self, check, m):
+        with pytest.raises(InvalidParameterError, match="offspring mean"):
+            check(m)
 
 
 class TestOffspringDistribution:

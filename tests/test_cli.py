@@ -11,9 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bactipot import dist_from_mean, simulate_batch, spawn_rng
-from bactipot.cli import main
+from bactipot.cli import UsageError, _parse_grid, main
+from bactipot.measurement import check_grid
 
 
 @pytest.fixture()
@@ -222,6 +225,27 @@ class TestSynthAndFit:
         assert status == 1 and out == ""
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
+    def test_fit_oversized_field_is_data_error(self, run):
+        text = "concentration,replicate,ct\n0.25,1," + "9" * 200_000 + "\n"
+        status, out, err = run(
+            "fit", "--input", "-", "--high-c", "2", "--low-c", "1", "--x0", "10", stdin=text
+        )
+        assert status == 1 and out == "" and "line 2" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_fit_text_that_is_not_utf8_is_data_error(self, run, tmp_path, monkeypatch, source):
+        raw = "concentration,replicate,ct\n0.25,1,3.0 \u00b5g\n".encode("latin-1")
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(raw)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        status, out, err = run(
+            "fit", "--input", str(path) if source == "path" else "-",
+            "--high-c", "2", "--low-c", "1", "--x0", "10",
+        )
+        assert status == 1 and out == "" and "UTF-8" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_fit_bad_data_is_data_error(self, run, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("concentration,replicate,ct\n0.25,1,oops\n")
@@ -408,16 +432,36 @@ class TestFlags:
         assert "unrecognized arguments" in err and flag in err
 
 
+#: 2^-5 and this value would be two lanes that name the same one.
+TWIN = 2**-5 * (1 + 1e-10)
+
+
 class TestTwinLanes:
     @pytest.mark.parametrize("subcommand", ["synth", "mc-study"])
     def test_twin_grid_lanes_fail_before_simulating(self, run, subcommand):
-        # 2^-5 and 2^-5 * (1 + 1e-10) would be two lanes that name the same one
         status, out, err = run(
-            subcommand, "--alpha", "10", "--beta", "1",
-            "--grid", f"2^-6,2^-5,{2**-5 * (1 + 1e-10)!r}",
+            subcommand, "--alpha", "10", "--beta", "1", "--grid", f"2^-6,2^-5,{TWIN!r}"
         )
-        assert status == 1 and out == ""
-        assert "same lane" in err and len(err.strip().splitlines()) == 2  # seed=, error
+        assert status == 2 and out == ""
+        # the usage error comes before the seed= line
+        assert "same lane" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("design-eval", "--alpha", "10", "--beta", "1",
+              "--designs", f"2^-6,2^-5,{TWIN!r}"), "same lane"),
+            (("design-eval", "--alpha", "10", "--beta", "1",
+              "--designs", "2^-6,2^-5,1e400"), "finite"),
+            (("fit", "--input", "-", "--high-c", "2", "--low-c", "2^-7", "--x0", "10",
+              "--fit-c", f"2^-5,{TWIN!r}"), "same lane"),
+        ],
+        ids=["designs-twin", "designs-infinite", "fit-c-twin"],
+    )
+    def test_bad_grid_flag_is_usage_error(self, run, args, message):
+        status, out, err = run(*args, stdin="concentration,replicate,ct\n")
+        assert status == 2 and out == ""
+        assert message in err and args[-2] in err and len(err.strip().splitlines()) == 1
 
     def test_twin_lanes_in_a_dataset_are_data_error(self, run):
         text = "concentration,replicate,ct\n0.03125,1,-10.5\n0.031250000003125,1,-10.4\n"
@@ -425,6 +469,16 @@ class TestTwinLanes:
             "fit", "--input", "-", "--high-c", "2", "--low-c", "2^-7", "--x0", "10", stdin=text
         )
         assert status == 1 and out == "" and "same lane" in err
+
+
+@given(st.one_of(st.text(), st.text(alphabet="0123456789.,^+-e infa")))
+@settings(max_examples=300)
+def test_any_grid_text_is_a_valid_grid_or_a_usage_error(text):
+    try:
+        grid = _parse_grid(text, "--grid")
+    except UsageError:
+        return
+    check_grid(grid)
 
 
 class TestClosedPipe:

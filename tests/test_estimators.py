@@ -39,6 +39,14 @@ from bactipot.estimators import (
 
 LOG2_X0 = math.log2(10**4)
 
+#: Designs that ``measurement.check_grid`` rejects once sorted, one fault each.
+BAD_GRIDS = {
+    "non-positive": (0.0, 2**-4, 2**-2),
+    "infinite": (2**-4, 2**-2, math.inf),
+    "duplicate": (2**-4, 2**-4, 2**-2),
+    "twin": (2**-5, 2**-5 * (1 + 1e-10), 2**-2),
+}
+
 
 def estimates_from_curve(alpha, beta, grid, jitter=None):
     """MeanEstimate lanes lying exactly on (or jittered off) the true curve."""
@@ -124,7 +132,7 @@ class TestInvertMeanTotal:
 
 
 class TestInvertMeanTotals:
-    @pytest.mark.parametrize("n", [1, 10, 62])
+    @pytest.mark.parametrize("n", [1, 10, 62, 1023])
     def test_bit_identical_to_scalar_bisection(self, n):
         rng = spawn_rng(401, n)
         interior = np.exp2(rng.uniform(0.0, n, size=500))
@@ -265,6 +273,12 @@ class TestFitDoseResponse:
         fit1 = fit_dose_response(moved)
         assert fit1.beta_hat == pytest.approx(fit0.beta_hat, rel=1e-9)
         assert fit1.mic_hat == pytest.approx(fit0.mic_hat * scale, rel=1e-9)
+
+    @pytest.mark.parametrize("fault", BAD_GRIDS)
+    def test_rejects_a_bad_grid(self, fault):
+        estimates = [MeanEstimate(c, 6.0, 1.0, clamped=False) for c in BAD_GRIDS[fault]]
+        with pytest.raises(InvalidParameterError):
+            fit_dose_response(estimates)
 
 
 class TestFitDoseResponseRows:
@@ -408,6 +422,11 @@ class TestAsymptoticCovariance:
             cov.sigma2_beta,
             cov.sigma2_theta,
         ) == (0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("fault", BAD_GRIDS)
+    def test_rejects_a_bad_grid(self, fault):
+        with pytest.raises(InvalidParameterError):
+            asymptotic_covariance(BAD_GRIDS[fault], GrowthParams(10, 1), 10, 0.2)
 
     @staticmethod
     def random_design(rng):

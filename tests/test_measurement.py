@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bactipot import (
+    CSV_COLUMNS,
     CtDataset,
     CtObservation,
     DatasetFormatError,
@@ -134,8 +135,11 @@ class TestSimulateExperiment:
         config = noiseless_config()
         with pytest.raises(InvalidParameterError):
             simulate_experiment(GrowthParams(10, 1), [], config, spawn_rng(0))
-        with pytest.raises(InvalidParameterError):
+        # the ordering message names the two values that collide
+        with pytest.raises(InvalidParameterError, match=r"0\.5 then 0\.5"):
             simulate_experiment(GrowthParams(10, 1), [0.5, 0.5], config, spawn_rng(0))
+        with pytest.raises(InvalidParameterError, match=r"0\.5 then 0\.25"):
+            simulate_experiment(GrowthParams(10, 1), [0.125, 0.5, 0.25], config, spawn_rng(0))
         with pytest.raises(InvalidParameterError):
             simulate_experiment(GrowthParams(10, 1), [-1.0, 0.5], config, spawn_rng(0))
         with pytest.raises(InvalidParameterError, match="same lane"):
@@ -289,3 +293,20 @@ class TestCsvErrors:
     def test_nonpositive_concentration(self):
         with pytest.raises(DatasetFormatError, match="line 2"):
             read_dataset(io.StringIO("concentration,replicate,ct\n-0.25,1,-10.5\n"))
+
+
+#: Text shaped like a dataset: the header, then rows of CSV-ish fields.
+csv_like_text = st.builds(
+    lambda body: ",".join(CSV_COLUMNS) + "\n" + body,
+    st.text(alphabet="0123456789.,-+e\"\n\r infa_"),
+)
+
+
+@given(st.one_of(st.text(), csv_like_text))
+@settings(max_examples=300)
+def test_any_text_gives_a_dataset_or_a_format_error(text):
+    try:
+        dataset = read_dataset(io.StringIO(text))
+    except DatasetFormatError:
+        return
+    assert isinstance(dataset, CtDataset)
