@@ -92,6 +92,49 @@ class TestSimulate:
         status, _, err = run("simulate", "--m", "1.5", "--p0", "0.25")
         assert status == 2 and "usage error" in err
 
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (
+                "--m 1.73 --x0 10000 --gens 10 --reps 1 --seed 7",
+                "generation,alive,dead,total\n"
+                "0,10000,0,10000\n"
+                "1,17356,1322,18678\n"
+                "2,30040,3658,33698\n"
+                "3,51766,7815,59581\n"
+                "4,89760,14701,104461\n"
+                "5,155386,26768,182154\n"
+                "6,268898,47705,316603\n"
+                "7,465412,83897,549309\n"
+                "8,805006,146806,951812\n"
+                "9,1392280,255672,1647952\n"
+                "10,2407438,444233,2851671\n",
+            ),
+            (
+                "--p0 0.2 --p1 0.3 --p2 0.5 --x0 1000 --gens 12 --seed 3",
+                "generation,alive,dead,total\n"
+                "0,1000,0,1000\n"
+                "1,1261,212,1473\n"
+                "2,1642,464,2106\n"
+                "3,2065,818,2883\n"
+                "4,2688,1217,3905\n"
+                "5,3436,1778,5214\n"
+                "6,4397,2488,6885\n"
+                "7,5784,3309,9093\n"
+                "8,7444,4540,11984\n"
+                "9,9668,5995,15663\n"
+                "10,12599,7920,20519\n"
+                "11,16239,10521,26760\n"
+                "12,21078,13798,34876\n",
+            ),
+        ],
+        ids=["death-or-divide", "general-law"],
+    )
+    def test_seeded_trajectory_bytes(self, run, args, expected):
+        # a single seeded trajectory keeps its exact bytes
+        status, out, _ = run("simulate", *args.split())
+        assert status == 0 and out == expected
+
 
 class TestSynthAndFit:
     def test_synth_emits_dataset_csv(self, run):
