@@ -19,6 +19,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -30,15 +31,15 @@ from .errors import CountOverflowError, InvalidParameterError
 #: Largest supported population count (63-bit signed range).
 MAX_COUNT = (1 << 63) - 1
 
-# A step at most doubles the total, so totals at or below this bound cannot
-# overflow MAX_COUNT within one generation.
+# A generation at most doubles the total, so totals at or below this bound
+# cannot overflow MAX_COUNT within it.
 _STEP_SAFE_TOTAL = MAX_COUNT // 2
 
 _PROB_TOL = 1e-12
 
 # Added to a divisor that is zero only where its numerator is zero too: it
 # turns 0/0 into 0 and leaves every quotient of normal numbers unchanged.
-_TINY = float(np.finfo(float).tiny)
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -70,26 +71,6 @@ class OffspringDistribution:
     def mean(self) -> float:
         """Expected offspring per cell, ``p1 + 2*p2`` in [0, 2]."""
         return self.p1 + 2.0 * self.p2
-
-
-@dataclass(frozen=True)
-class PopulationState:
-    """Live and dead counts at one generation of a trajectory."""
-
-    alive: int
-    dead: int
-    generation: int
-
-    def __post_init__(self):
-        if self.alive < 0 or self.dead < 0 or self.generation < 0:
-            raise InvalidParameterError("counts and generation must be non-negative")
-        if self.alive + self.dead > MAX_COUNT:
-            raise CountOverflowError(f"total count exceeds {MAX_COUNT}")
-
-    @property
-    def total(self) -> int:
-        """Total genome count, live plus dead."""
-        return self.alive + self.dead
 
 
 @dataclass(frozen=True)
@@ -281,48 +262,35 @@ def advance(
     return alive, dead
 
 
-def step(
-    state: PopulationState, dist: OffspringDistribution, rng: np.random.Generator
-) -> PopulationState:
-    """Advance one well one generation through ``advance``.
-
-    Aggregate sampling is distributed identically to sampling each cell's
-    fate separately but stays O(1) per generation even for populations in
-    the millions.
-
-    Raises:
-        CountOverflowError: if the total count could exceed ``MAX_COUNT``
-            after this step.
-    """
-    alive, dead = advance(state.alive, state.dead, dist.p0, dist.p1, dist.p2, 1, rng)
-    return PopulationState(int(alive), int(dead), state.generation + 1)
-
-
 def simulate(
     x0: int,
     dist: OffspringDistribution,
     n_generations: int,
     rng: np.random.Generator,
-) -> list[PopulationState]:
-    """Simulate one trajectory, returning all ``n + 1`` states.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate one trajectory through ``advance``, one generation at a time.
 
     Args:
-        x0: Initial number of live cells, >= 1.
+        x0: Initial number of live cells, in [1, ``MAX_COUNT``].
         dist: Offspring distribution applied at every generation.
         n_generations: Number of steps to take.
         rng: Source of randomness; the trajectory is a deterministic
             function of its state.
 
     Returns:
-        States from generation 0 (``(x0, 0)``) through ``n_generations``.
+        ``(alive, dead)`` int64 arrays of length ``n_generations + 1``,
+        indexed by generation, starting from ``(x0, 0)``.
     """
-    if x0 < 1:
-        raise InvalidParameterError(f"x0 must be >= 1, got {x0!r}")
+    _check_x0(x0)
     _check_generations(n_generations, minimum=0)
-    states = [PopulationState(x0, 0, 0)]
-    for _ in range(n_generations):
-        states.append(step(states[-1], dist, rng))
-    return states
+    # empty, so memory is touched one generation at a time, as it is filled
+    alive = np.empty(n_generations + 1, dtype=np.int64)
+    dead = np.empty_like(alive)
+    alive[0], dead[0] = x0, 0
+    for g in range(n_generations):
+        # one well as 0-d counts: the binomial sampler's fast scalar path
+        alive[g + 1], dead[g + 1] = advance(alive[g], dead[g], dist.p0, dist.p1, dist.p2, 1, rng)
+    return alive, dead
 
 
 def simulate_batch(
@@ -337,7 +305,7 @@ def simulate_batch(
     Each replicate's law is identical to ``simulate``.
 
     Args:
-        x0: Initial live count shared by every replicate, >= 1.
+        x0: Initial live count shared by every replicate, in [1, ``MAX_COUNT``].
         dist: Offspring distribution of every replicate, or a sequence of
             distributions, one per lane of ``replicates`` wells.
         n_generations: Number of steps to take.
@@ -349,8 +317,7 @@ def simulate_batch(
         of shape ``(replicates,)`` for one distribution and
         ``(len(dist), replicates)`` for a sequence.
     """
-    if x0 < 1:
-        raise InvalidParameterError(f"x0 must be >= 1, got {x0!r}")
+    _check_x0(x0)
     if replicates < 1:
         raise InvalidParameterError(f"replicates must be >= 1, got {replicates!r}")
     if isinstance(dist, OffspringDistribution):
@@ -383,6 +350,14 @@ def _horner(coefficients: Iterable[float], x):
 def _check_mean(mean: float) -> None:
     if not 0.0 <= mean <= 2.0:  # NaN fails every comparison
         raise InvalidParameterError(f"offspring mean must lie in [0, 2], got {mean!r}")
+
+
+def _check_x0(x0: int) -> None:
+    # the one rule for an initial live count, before any array holds it
+    if x0 < 1:
+        raise InvalidParameterError(f"x0 must be >= 1, got {x0!r}")
+    if x0 > MAX_COUNT:
+        raise CountOverflowError(f"x0 must be <= {MAX_COUNT}, got {x0!r}")
 
 
 def _check_generations(n_generations: int, minimum: int) -> None:

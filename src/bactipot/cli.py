@@ -9,14 +9,15 @@ Subcommands::
     design-eval  asymptotic variances for candidate designs (CSV)
     curve        tabulated dose-response curve (CSV)
 
-Concentration grids accept ``2^k`` power notation alongside plain decimals,
-e.g. ``--grid "2^-6,2^-4,2^-2"``. Every subcommand takes ``-o/--output``;
-only ``simulate``, ``synth`` and ``mc-study`` take ``--seed`` (falling back to
-the BACTIPOT_SEED environment variable, then 0, and logged to stderr), only
-``mc-study`` and ``design-eval`` take ``--pretty``, and only ``fit`` and
-``mc-study`` take ``--no-timestamp``.
+Concentration grids accept ``2^k`` power notation, with an unsigned base,
+alongside plain decimals, e.g. ``--grid "2^-6,2^-4,2^-2"``. Every subcommand
+takes ``-o/--output``; only ``simulate``, ``synth`` and ``mc-study`` take
+``--seed`` (falling back to the BACTIPOT_SEED environment variable, then 0,
+and logged to stderr), only ``mc-study`` and ``design-eval`` take
+``--pretty``, and only ``fit`` and ``mc-study`` take ``--no-timestamp``.
 
-Exit status: 0 on success, 1 on data errors or a closed stdout, 2 on usage errors.
+Exit status: 0 on success, 1 on data errors, a closed stdout or running out
+of memory, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ from .measurement import (
 )
 from .seeding import spawn_rng
 
-_POWER = re.compile(r"^([+-]?\d+(?:\.\d+)?)\^([+-]?\d+(?:\.\d+)?)$")
+# the base takes no sign: "-2^2" is not a number, where "2^-2" is
+_POWER = re.compile(r"^(\d+(?:\.\d+)?)\^([+-]?\d+(?:\.\d+)?)$")
 
 
 class UsageError(Exception):
@@ -89,6 +91,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (BactipotError, OSError) as exc:
         print(f"bactipot: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"bactipot: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 
@@ -208,19 +213,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _log_seed(seed)
     # simulate first, so a run that fails leaves no partial output file
     if args.reps == 1:
-        header = ["generation", "alive", "dead", "total"]
-        states = simulate(args.x0, dist, args.gens, spawn_rng(seed, 0))
-        rows = [[s.generation, s.alive, s.dead, s.total] for s in states]
+        index, start = "generation", 0
+        alive, dead = simulate(args.x0, dist, args.gens, spawn_rng(seed, 0))
     else:
-        header = ["replicate", "alive", "dead", "total"]
+        index, start = "replicate", 1
         alive, dead = simulate_batch(args.x0, dist, args.gens, args.reps, spawn_rng(seed, 0))
-        rows = [
-            [rep, a, d, a + d]
-            for rep, (a, d) in enumerate(zip(alive.tolist(), dead.tolist()), start=1)
-        ]
+    rows = [
+        [i, a, d, a + d]
+        for i, (a, d) in enumerate(zip(alive.tolist(), dead.tolist()), start=start)
+    ]
     with _out_stream(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow([index, "alive", "dead", "total"])
         writer.writerows(rows)
     return 0
 
@@ -230,6 +234,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     sentinel = None
     if args.untreated_lane is not None:
         sentinel = _parse_number(args.untreated_lane, "--untreated-lane")
+        _check_grid([sentinel, *grid], "--untreated-lane")
     seed = _effective_seed(args)
     _log_seed(seed)
     dataset = simulate_experiment(
@@ -406,11 +411,15 @@ def _parse_number(token: str, flag: str) -> float:
 
 def _parse_grid(text: str, flag: str) -> list[float]:
     grid = sorted(_parse_number(t, flag) for t in text.split(",") if t.strip())
+    _check_grid(grid, flag)
+    return grid
+
+
+def _check_grid(grid: list[float], flag: str) -> None:
     try:
         check_grid(grid)
     except InvalidParameterError as exc:
         raise UsageError(f"{flag}: {exc}") from None
-    return grid
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, float]:

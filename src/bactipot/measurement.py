@@ -30,7 +30,13 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .branching import GrowthParams, dist_from_mean, mean_from_concentration, simulate_batch
+from .branching import (
+    GrowthParams,
+    _check_x0,
+    dist_from_mean,
+    mean_from_concentration,
+    simulate_batch,
+)
 from .errors import DatasetFormatError, InvalidParameterError
 
 CSV_COLUMNS = ("concentration", "replicate", "ct")
@@ -74,7 +80,7 @@ class MeasurementConfig:
     Attributes:
         a: Calibration constant (Ct units). Zero for plain synthetic data.
         sigma_eps: Standard deviation of the Ct measurement noise, >= 0.
-        x0: Initial live cells per well.
+        x0: Initial live cells per well, in [1, ``MAX_COUNT``].
         n_generations: Generations grown before measurement.
         replicates: Independent wells per concentration.
     """
@@ -88,8 +94,7 @@ class MeasurementConfig:
     def __post_init__(self):
         if self.sigma_eps < 0.0 or math.isnan(self.sigma_eps):
             raise InvalidParameterError(f"sigma_eps must be >= 0, got {self.sigma_eps!r}")
-        if self.x0 < 1:
-            raise InvalidParameterError(f"x0 must be >= 1, got {self.x0!r}")
+        _check_x0(self.x0)
         if self.n_generations < 1:
             raise InvalidParameterError(
                 f"n_generations must be >= 1, got {self.n_generations!r}"

@@ -8,6 +8,7 @@ regression in any formula shows up as a disagreement here.
 
 import math
 import time
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from bactipot import (
     MeasurementConfig,
     OffspringDistribution,
     PipelineConfig,
-    PopulationState,
     asymptotic_covariance,
     fit_dataset,
     invert_mean_total,
@@ -32,8 +32,8 @@ from bactipot import (
     run_mc_study,
     simulate_experiment,
     spawn_rng,
-    step,
 )
+from bactipot.branching import advance
 
 TWO_FOLD_LADDER = tuple(2.0**k for k in range(-7, 5))  # 12 dilutions
 SENTINEL = 2.0**-8  # untreated control lane, below the ladder
@@ -265,12 +265,10 @@ def test_step_distribution_small_instance_oracle():
         law = aggregate_step_law(8, probs)
         dist = OffspringDistribution(*probs)
         rng = spawn_rng(20260808, 6)
-        counts = {}
-        state = PopulationState(8, 0, 0)
-        for _ in range(n_samples):
-            nxt = step(state, dist, rng)
-            key = (nxt.alive, nxt.dead)
-            counts[key] = counts.get(key, 0) + 1
+        # one generation of n_samples independent wells, in one advance call
+        wells = np.full(n_samples, 8)
+        alive, dead = advance(wells, np.zeros_like(wells), dist.p0, dist.p1, dist.p2, 1, rng)
+        counts = Counter(zip(alive.tolist(), dead.tolist()))
         for key, exact in law.items():
             p = float(exact)
             band = 3.0 * math.sqrt(p * (1.0 - p) / n_samples)

@@ -10,11 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bactipot import (
+    MAX_COUNT,
     CountOverflowError,
     GrowthParams,
     InvalidParameterError,
+    MeasurementConfig,
     OffspringDistribution,
-    PopulationState,
     dist_from_mean,
     extinction_probability,
     mean_from_concentration,
@@ -25,7 +26,6 @@ from bactipot import (
     simulate,
     simulate_batch,
     spawn_rng,
-    step,
 )
 from bactipot.branching import advance
 
@@ -259,68 +259,106 @@ class TestExtinctionProbability:
 
 
 # ---------------------------------------------------------------------------
-# sampling: step, trajectories, batches
+# sampling: one generation, trajectories, batches
 # ---------------------------------------------------------------------------
 
 
-class TestStep:
+def advance_one(alive, dead, dist, rng):
+    """One generation of ``advance`` from one well's counts, as Python ints."""
+    a, d = advance(alive, dead, dist.p0, dist.p1, dist.p2, 1, rng)
+    return int(a), int(d)
+
+
+class TestOneGeneration:
     def test_empty_population_is_absorbing(self):
-        rng = spawn_rng(1)
-        out = step(PopulationState(0, 5, 3), OffspringDistribution(0.2, 0.3, 0.5), rng)
-        assert (out.alive, out.dead, out.generation) == (0, 5, 4)
+        out = advance_one(0, 5, OffspringDistribution(0.2, 0.3, 0.5), spawn_rng(1))
+        assert out == (0, 5)
 
     def test_deterministic_doubling(self):
-        rng = spawn_rng(1)
-        out = step(PopulationState(7, 2, 0), OffspringDistribution(0, 0, 1), rng)
-        assert (out.alive, out.dead, out.generation) == (14, 2, 1)
+        out = advance_one(7, 2, OffspringDistribution(0, 0, 1), spawn_rng(1))
+        assert out == (14, 2)
 
     def test_all_die(self):
-        rng = spawn_rng(1)
-        out = step(PopulationState(7, 2, 0), OffspringDistribution(1, 0, 0), rng)
-        assert (out.alive, out.dead, out.generation) == (0, 9, 1)
+        out = advance_one(7, 2, OffspringDistribution(1, 0, 0), spawn_rng(1))
+        assert out == (0, 9)
 
     def test_parity_and_conservation(self):
-        # with p1 = 0 the live count is always even after a step, the dead
-        # count never decreases, and the total never shrinks
+        # with p1 = 0 the live count is always even after a generation, the
+        # dead count never decreases, and the total never shrinks
         rng = spawn_rng(7)
         dist = dist_from_mean(1.3)
-        state = PopulationState(999, 0, 0)
+        alive, dead = 999, 0
         for _ in range(50):
-            nxt = step(state, dist, rng)
-            assert nxt.alive % 2 == 0
-            assert nxt.dead >= state.dead
-            assert nxt.total >= state.total
-            state = nxt
+            nxt_alive, nxt_dead = advance_one(alive, dead, dist, rng)
+            assert nxt_alive % 2 == 0
+            assert nxt_dead >= dead
+            assert nxt_alive + nxt_dead >= alive + dead
+            alive, dead = nxt_alive, nxt_dead
 
     def test_overflow_guard(self):
-        huge = PopulationState((1 << 62), 0, 0)
         with pytest.raises(CountOverflowError):
-            step(huge, OffspringDistribution(0, 0, 1), spawn_rng(0))
+            advance_one(1 << 62, 0, OffspringDistribution(0, 0, 1), spawn_rng(0))
 
 
 class TestSimulate:
     def test_all_die_keeps_total(self):
-        states = simulate(1, OffspringDistribution(1, 0, 0), 3, spawn_rng(3))
-        assert [s.total for s in states] == [1, 1, 1, 1]
-        assert [s.generation for s in states] == [0, 1, 2, 3]
+        alive, dead = simulate(1, OffspringDistribution(1, 0, 0), 3, spawn_rng(3))
+        assert alive.dtype == dead.dtype == np.int64
+        assert alive.shape == dead.shape == (4,)
+        assert (alive + dead).tolist() == [1, 1, 1, 1]
 
     def test_pure_doubling_total(self):
-        states = simulate(10**4, OffspringDistribution(0, 0, 1), 10, spawn_rng(3))
-        assert states[-1].total == 10_240_000
+        alive, dead = simulate(10**4, OffspringDistribution(0, 0, 1), 10, spawn_rng(3))
+        assert alive[-1] + dead[-1] == 10_240_000
 
     def test_starts_at_inoculum(self):
-        states = simulate(42, dist_from_mean(1.5), 5, spawn_rng(3))
-        assert (states[0].alive, states[0].dead, states[0].generation) == (42, 0, 0)
-        assert len(states) == 6
+        alive, dead = simulate(42, dist_from_mean(1.5), 5, spawn_rng(3))
+        assert (alive[0], dead[0]) == (42, 0)
+        assert len(alive) == len(dead) == 6
 
     def test_deterministic_given_seed(self):
         a = simulate(100, dist_from_mean(1.2), 8, spawn_rng(11))
         b = simulate(100, dist_from_mean(1.2), 8, spawn_rng(11))
-        assert a == b
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize(
+        "dist", [dist_from_mean(1.73), OffspringDistribution(0.2, 0.3, 0.5)], ids=["dd", "general"]
+    )
+    def test_records_one_generation_advance_calls(self, dist):
+        # generation g + 1 is one advance call on generation g's counts
+        alive, dead = simulate(1000, dist, 12, spawn_rng(17))
+        rng = spawn_rng(17)
+        expected = [(1000, 0)]
+        for _ in range(12):
+            expected.append(advance_one(*expected[-1], dist, rng))
+        assert list(zip(alive.tolist(), dead.tolist())) == expected
 
     def test_overflow_is_an_error(self):
         with pytest.raises(CountOverflowError):
             simulate(1 << 62, OffspringDistribution(0, 0, 1), 2, spawn_rng(0))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda x0: simulate(x0, dist_from_mean(1.5), 0, spawn_rng(0)),
+        lambda x0: simulate_batch(x0, dist_from_mean(1.5), 0, 2, spawn_rng(0)),
+        lambda x0: MeasurementConfig(x0=x0),
+    ],
+    ids=["simulate", "simulate_batch", "MeasurementConfig"],
+)
+class TestInoculumRange:
+    def test_below_one_is_invalid(self, run):
+        with pytest.raises(InvalidParameterError):
+            run(0)
+
+    def test_above_max_count_overflows(self, run):
+        # 2**70 does not fit an int64 array; the check comes before any array
+        with pytest.raises(CountOverflowError):
+            run(1 << 70)
+
+    def test_max_count_is_accepted(self, run):
+        run(MAX_COUNT)
 
 
 class TestSimulateBatch:

@@ -506,6 +506,27 @@ class TestTwinLanes:
         assert status == 2 and out == ""
         assert message in err and args[-2] in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "lane, message",
+        [("1", "strictly increasing"), ("nan", "finite"), ("0.0078124999999", "same lane")],
+        ids=["above-grid", "nan", "twin-of-lowest"],
+    )
+    def test_bad_untreated_lane_fails_before_simulating(self, run, lane, message):
+        status, out, err = run(
+            "synth", "--alpha", "10", "--beta", "1", "--grid", "2^-7,2^-6",
+            "--untreated-lane", lane,
+        )
+        assert status == 2 and out == ""
+        # the usage error comes before the seed= line
+        assert "--untreated-lane" in err and message in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("design", ["-2^2,2^-4", "+2^2,2^-4"])
+    def test_signed_power_base_is_usage_error(self, run, design):
+        status, out, err = run("design-eval", "--alpha", "10", "--beta", "1", f"--designs={design}")
+        assert status == 2 and out == ""
+        assert "cannot parse number" in err and len(err.strip().splitlines()) == 1
+
     def test_twin_lanes_in_a_dataset_are_data_error(self, run):
         text = "concentration,replicate,ct\n0.03125,1,-10.5\n0.031250000003125,1,-10.4\n"
         status, out, err = run(
@@ -620,3 +641,43 @@ class TestSeedsAndErrors:
         )
         assert status == 1 and "overflow" in err.lower()
         assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("simulate", "--m", "1.5", "--reps", "1"),
+            ("simulate", "--m", "1.5", "--reps", "2"),
+            ("synth", "--alpha", "10", "--beta", "1", "--grid", "2^-7,2^-6"),
+            ("mc-study", "--alpha", "10", "--beta", "1", "--grid", "2^-6,2^-4,2^-2",
+             "--measurements", "5"),
+        ],
+        ids=["simulate-reps-1", "simulate-reps-2", "synth", "mc-study"],
+    )
+    def test_x0_beyond_the_count_range_is_data_error(self, run, args):
+        # 2**70 fits no int64 array; it is refused before any array holds it
+        status, out, err = run(*args, "--x0", str(2**70))
+        assert status == 1 and out == ""
+        seed_line, error_line = err.strip().splitlines()
+        assert seed_line == "bactipot: seed=0" and error_line.startswith("bactipot: error: ")
+
+    @pytest.mark.parametrize(
+        "args, callee, exc",
+        [
+            (("simulate", "--m", "1"), "simulate_batch",
+             MemoryError("Unable to allocate 7.28 TiB for an array")),
+            (("synth", "--alpha", "10", "--beta", "1", "--grid", "2^-7,2^-6"),
+             "simulate_experiment", MemoryError()),
+        ],
+        ids=["simulate", "synth"],
+    )
+    def test_out_of_memory_is_data_error(self, run, monkeypatch, args, callee, exc):
+        # the callee raises in place of allocating, so nothing is allocated
+        def exhausted(*_args, **_kwargs):
+            raise exc
+
+        monkeypatch.setattr(f"bactipot.cli.{callee}", exhausted)
+        status, out, err = run(*args, "--reps", "1000000000000")
+        assert status == 1 and out == ""
+        error_line = err.strip().splitlines()[-1]
+        assert error_line == f"bactipot: error: {str(exc) or 'out of memory'}"
+        assert "Traceback" not in err
