@@ -269,7 +269,9 @@ def advance_one(alive, dead, dist, rng):
     return int(a), int(d)
 
 
-class TestOneGeneration:
+class TestStep:
+    """One generation step of the process, as a one-generation ``advance`` call."""
+
     def test_empty_population_is_absorbing(self):
         out = advance_one(0, 5, OffspringDistribution(0.2, 0.3, 0.5), spawn_rng(1))
         assert out == (0, 5)
