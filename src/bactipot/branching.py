@@ -22,11 +22,12 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import CountOverflowError, InvalidParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Largest supported population count (63-bit signed range).
 MAX_COUNT = (1 << 63) - 1
@@ -235,6 +236,7 @@ def advance(
             plus the largest dead count exceeds ``MAX_COUNT // 2``, so a
             total could overflow ``MAX_COUNT`` within that generation.
     """
+    import numpy as np
     _check_generations(n_generations, minimum=0)
     alive = np.asarray(alive, dtype=np.int64)
     dead = np.asarray(dead, dtype=np.int64)
@@ -281,6 +283,7 @@ def simulate(
         ``(alive, dead)`` int64 arrays of length ``n_generations + 1``,
         indexed by generation, starting from ``(x0, 0)``.
     """
+    import numpy as np
     _check_x0(x0)
     _check_generations(n_generations, minimum=0)
     # empty, so memory is touched one generation at a time, as it is filled
@@ -317,6 +320,7 @@ def simulate_batch(
         of shape ``(replicates,)`` for one distribution and
         ``(len(dist), replicates)`` for a sequence.
     """
+    import numpy as np
     _check_x0(x0)
     if replicates < 1:
         raise InvalidParameterError(f"replicates must be >= 1, got {replicates!r}")

@@ -442,10 +442,18 @@ def _out_stream(target: str) -> contextlib.AbstractContextManager[IO[str]]:
 
 def _write_json(payload: dict, out: IO[str]) -> None:
     """Write ``payload`` as strict JSON: NaN and infinities become null."""
-    # floats round-trip through their repr, so finite values keep their bytes
-    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
-    json.dump(strict, out, indent=2, allow_nan=False)
-    out.write("\n")
+    out.write(json.dumps(_finite_or_null(payload), indent=2, allow_nan=False) + "\n")
+
+
+def _finite_or_null(value):
+    # a copy of a JSON-able value with every non-finite float replaced by None
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def _sig3(value: float) -> str:

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .branching import GrowthParams, _growth_curve, mean_from_concentration, mean_total_derivative
 from .errors import InsufficientDataError, InvalidParameterError, SingularDesignError
-from .measurement import check_grid, same_concentration
+from .measurement import check_grid, check_sigma_eps, same_concentration
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _LOG2 = math.log(2.0)
 
@@ -176,6 +177,7 @@ def invert_mean_totals(mu: np.ndarray, n_generations: int) -> np.ndarray:
     Raises:
         InvalidParameterError: if some element lies outside [1, 2**n].
     """
+    import numpy as np
     _check_generation_count(n_generations)
     mu = np.asarray(mu, dtype=float)
     upper = 2.0**n_generations
@@ -206,6 +208,7 @@ def estimate_offspring_means(
     total-count estimate ``2 ** (...)`` is inverted with
     ``invert_mean_totals``.
     """
+    import numpy as np
     _check_generation_count(n_generations)
     log2_mu = _log2_mean_total(np.asarray(mean_cts, dtype=float), a, x0)
     mu = np.clip(np.power(2.0, np.clip(log2_mu, 0.0, n_generations)), 1.0, 2.0**n_generations)
@@ -350,6 +353,7 @@ def fit_dose_response_rows(
         (fewer than two usable lanes, a degenerate design, a flat slope or
         parameters that overflow).
     """
+    import numpy as np
     cs = np.asarray(concentrations, dtype=float)
     m_hats = np.asarray(m_hats, dtype=float)
     used = (m_hats > 0.0) & (m_hats < 2.0)
@@ -382,14 +386,14 @@ def k_factor(
     so its sign never matters downstream.
 
     Raises:
-        InvalidParameterError: if ``n_generations`` lies outside [1, 1023].
+        InvalidParameterError: if ``n_generations`` lies outside [1, 1023],
+            or ``sigma_eps`` is not finite and >= 0.
         SingularDesignError: if the offspring mean at this concentration is
             0 or 2, where the lane carries no regression information, or if
             the gain is not finite in double precision.
     """
     _check_generation_count(n_generations)
-    if sigma_eps < 0.0:
-        raise InvalidParameterError(f"sigma_eps must be >= 0, got {sigma_eps!r}")
+    check_sigma_eps(sigma_eps)
     m = mean_from_concentration(params, concentration)
     if not (0.0 < m < 2.0):
         raise SingularDesignError(

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .branching import GrowthParams, mean_from_concentration, mean_total_from_mean
 from .errors import (
@@ -43,6 +41,9 @@ from .estimators import (
 )
 from .measurement import CtDataset, MeasurementConfig, check_grid, synthesize_plates
 from .seeding import spawn_rng
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Repetitions per random stream in a Monte Carlo study. Block ``b`` holds
 #: repetitions ``[b * MC_BLOCK, (b + 1) * MC_BLOCK)`` and draws everything
@@ -248,6 +249,7 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
         Report with empirical moments of the scaled errors next to the
         exact asymptotic covariance of the design.
     """
+    import numpy as np
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers!r}")
     m = config.measurement
@@ -295,6 +297,7 @@ def _var(values: np.ndarray) -> float:
 
 
 def _cov(a: np.ndarray, b: np.ndarray) -> float:
+    import numpy as np
     if a.size < 2:
         return math.nan
     return float(np.cov(a, b, ddof=1)[0, 1])
@@ -436,4 +439,5 @@ def log_spaced_grid(low: float, high: float, points: int = 200) -> list[float]:
         raise InvalidParameterError(f"need 0 < low < high, got ({low!r}, {high!r})")
     if points < 2:
         raise InvalidParameterError(f"points must be >= 2, got {points!r}")
+    import numpy as np
     return [float(c) for c in np.geomspace(low, high, points)]

@@ -26,9 +26,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .branching import (
     GrowthParams,
@@ -38,6 +36,9 @@ from .branching import (
     simulate_batch,
 )
 from .errors import DatasetFormatError, InvalidParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CSV_COLUMNS = ("concentration", "replicate", "ct")
 
@@ -73,13 +74,19 @@ def check_grid(concentrations: Sequence[float]) -> None:
             )
 
 
+def check_sigma_eps(sigma_eps: float) -> None:
+    """The one rule for a Ct noise standard deviation: finite and >= 0."""
+    if not 0.0 <= sigma_eps < math.inf:  # NaN fails every comparison
+        raise InvalidParameterError(f"sigma_eps must be finite and >= 0, got {sigma_eps!r}")
+
+
 @dataclass(frozen=True)
 class MeasurementConfig:
     """Parameters of one synthetic qPCR experiment.
 
     Attributes:
         a: Calibration constant (Ct units). Zero for plain synthetic data.
-        sigma_eps: Standard deviation of the Ct measurement noise, >= 0.
+        sigma_eps: Standard deviation of the Ct measurement noise, finite, >= 0.
         x0: Initial live cells per well, in [1, ``MAX_COUNT``].
         n_generations: Generations grown before measurement.
         replicates: Independent wells per concentration.
@@ -92,8 +99,7 @@ class MeasurementConfig:
     replicates: int = 3
 
     def __post_init__(self):
-        if self.sigma_eps < 0.0 or math.isnan(self.sigma_eps):
-            raise InvalidParameterError(f"sigma_eps must be >= 0, got {self.sigma_eps!r}")
+        check_sigma_eps(self.sigma_eps)
         _check_x0(self.x0)
         if self.n_generations < 1:
             raise InvalidParameterError(
@@ -186,6 +192,7 @@ def synthesize_ct(
             produces fewer genomes than it started with, so a zero count
             signals caller error).
     """
+    import numpy as np
     totals = np.asarray(total_count, dtype=float)
     if not np.all(totals >= 1.0):
         raise InvalidParameterError(f"total_count must be >= 1, got {float(np.min(totals))!r}")
@@ -339,7 +346,14 @@ def write_dataset(dataset: CtDataset, sink: str | Path | IO[str]) -> None:
 
 
 def _format_float(value: float) -> str:
-    return np.format_float_positional(value, unique=True, trim="0")
+    # the shortest digits that round-trip, as repr gives them, in positional
+    # form with at least one digit after the point
+    text = repr(float(value))
+    if "e" not in text:
+        return text
+    from decimal import Decimal  # only here: its import costs the CLI ~2 ms
+    text = format(Decimal(text), "f")
+    return text if "." in text else text + ".0"
 
 
 def _check_header(header: Iterable[str]) -> None:

@@ -9,7 +9,10 @@ ordered or distributed across workers.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -28,6 +31,7 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     Returns:
         A freshly seeded ``numpy.random.Generator``.
     """
+    import numpy as np
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=tuple(key))
     )

@@ -591,6 +591,58 @@ def test_readme_cli_examples_run(tmp_path):
     assert failures == []
 
 
+class TestColdStart:
+    """``import bactipot`` loads no numpy; only the commands that sample do."""
+
+    @staticmethod
+    def child(code, *argv):
+        return subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True, text=True, env=cli_env(), timeout=120,
+        )
+
+    def test_import_loads_no_numpy(self):
+        proc = self.child("import bactipot, bactipot.cli, sys; print('numpy' in sys.modules)")
+        assert proc.returncode == 0 and proc.stdout == "False\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fit", "--high-c", "2", "--low-c", "2^-7", "--x0", "10000", "--no-timestamp"),
+            ("design-eval", "--alpha", "10", "--beta", "1", "--designs", "2^-6,2^-4,2^-2;1,2,4"),
+            ("design-eval", "--alpha", "10", "--beta", "1", "--designs", "2^-6,2^-4,2^-2;1,2,4",
+             "--pretty"),
+        ],
+        ids=["fit", "design-eval", "design-eval-pretty"],
+    )
+    def test_runs_with_numpy_unimportable(self, run, tmp_path, argv):
+        if argv[0] == "fit":
+            plate = tmp_path / "plate.csv"
+            run("synth", "--alpha", "10", "--beta", "1", "--a", "20", "--seed", "1",
+                "--grid", "2^-7,2^-6,2^-5,2^-4,2^-3,2^-2,2^-1,1,2,4,8,16", "-o", str(plate))
+            argv = (*argv, "--input", str(plate))
+        status, expected, _ = run(*argv)
+        assert status == 0
+        proc = self.child(
+            "import sys\n"
+            "sys.modules['numpy'] = None  # every import of numpy now raises\n"
+            "from bactipot.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n",
+            *argv,
+        )
+        assert (proc.returncode, proc.stdout) == (0, expected)
+
+    def test_synth_imports_numpy_when_it_first_samples(self, run):
+        argv = ("synth", "--alpha", "10", "--beta", "1", "--grid", "2^-6,2^-4,2^-2", "--seed", "3")
+        proc = self.child(
+            "import sys, bactipot.cli\n"
+            "assert 'numpy' not in sys.modules\n"
+            "sys.exit(bactipot.cli.main(sys.argv[1:]))\n",
+            *argv,
+        )
+        assert (proc.returncode, proc.stdout) == (0, run(*argv)[1])
+
+
 class TestSeedsAndErrors:
     def test_env_seed_is_honored(self, run, monkeypatch):
         monkeypatch.setenv("BACTIPOT_SEED", "42")
@@ -659,6 +711,23 @@ class TestSeedsAndErrors:
         assert status == 1 and out == ""
         seed_line, error_line = err.strip().splitlines()
         assert seed_line == "bactipot: seed=0" and error_line.startswith("bactipot: error: ")
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("synth", "--alpha", "10", "--beta", "1", "--grid", "1,2,4"),
+            ("mc-study", "--alpha", "10", "--beta", "1", "--grid", "1,2,4",
+             "--measurements", "3"),
+            ("design-eval", "--alpha", "10", "--beta", "1", "--designs", "1,2,4"),
+        ],
+        ids=["synth", "mc-study", "design-eval"],
+    )
+    def test_non_finite_noise_is_data_error(self, run, args, value):
+        status, out, err = run(*args, "--sigma-eps", value)
+        lines = [line for line in err.splitlines() if not line.startswith("bactipot: seed=")]
+        assert status == 1 and out == ""
+        assert lines == [f"bactipot: error: sigma_eps must be finite and >= 0, got {value}"]
 
     @pytest.mark.parametrize(
         "args, callee, exc",

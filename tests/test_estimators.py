@@ -373,6 +373,11 @@ class TestKFactor:
         with pytest.raises(InvalidParameterError):
             k_factor(2**-4, GrowthParams(10, 1), n, 0.2)
 
+    @pytest.mark.parametrize("sigma_eps", [-0.1, math.inf, math.nan])
+    def test_noise_sd_must_be_finite_and_non_negative(self, sigma_eps):
+        with pytest.raises(InvalidParameterError, match="sigma_eps"):
+            k_factor(2**-4, GrowthParams(10, 1), 10, sigma_eps)
+
     def test_overflowing_gain_is_singular(self):
         # near free growth over 1023 generations the growth-curve slope
         # overflows, which would otherwise turn the gain into zero

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bactipot import (
@@ -23,6 +23,7 @@ from bactipot import (
     synthesize_ct,
     write_dataset,
 )
+from bactipot.measurement import _format_float
 
 
 #: Names the lane at 2**-5 by ``same_concentration`` without being equal to it.
@@ -33,6 +34,12 @@ def noiseless_config(**overrides):
     base = dict(a=0.0, sigma_eps=0.0, x0=10_000, n_generations=10, replicates=3)
     base.update(overrides)
     return MeasurementConfig(**base)
+
+
+@pytest.mark.parametrize("sigma_eps", [-0.1, math.inf, math.nan])
+def test_noise_sd_must_be_finite_and_non_negative(sigma_eps):
+    with pytest.raises(InvalidParameterError, match="sigma_eps"):
+        noiseless_config(sigma_eps=sigma_eps)
 
 
 class TestSynthesizeCt:
@@ -242,6 +249,18 @@ class TestCsvRoundTrip:
         write_dataset(dataset, buffer)
         recovered = read_dataset(io.StringIO(buffer.getvalue()))
         assert recovered.observations == dataset.observations
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(1e16)
+    @example(1e22)
+    @example(1.7976931348623157e308)
+    @settings(max_examples=500)
+    def test_floats_are_written_as_numpy_writes_them(self, value):
+        # the positional form numpy's shortest-repr formatter gives, byte for byte
+        assert _format_float(value) == np.format_float_positional(value, unique=True, trim="0")
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "lanes.csv"
