@@ -27,7 +27,13 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .branching import GrowthParams, _growth_curve, mean_from_concentration, mean_total_derivative
+from .branching import (
+    GrowthParams,
+    _check_x0,
+    _growth_curve,
+    mean_from_concentration,
+    mean_total_derivative,
+)
 from .errors import InsufficientDataError, InvalidParameterError, SingularDesignError
 from .measurement import check_grid, check_sigma_eps, same_concentration
 
@@ -42,8 +48,10 @@ _LOG2 = math.log(2.0)
 #: selects their concentrations.
 DEFAULT_M_BAND = (0.05, 1.95)
 
-# Halvings of [0, 2] that leave a bracket of 2**-40 < 1e-12 around the mean.
+# Halvings of [0, 2] that leave a bracket of 2**-40 < 1e-12 around the mean,
+# and the half-widths of the brackets they halve.
 _BISECTION_STEPS = 41
+_HALF_WIDTHS = tuple(2.0**-k for k in range(_BISECTION_STEPS))
 
 _CT_OVERFLOW = "Ct values are too large: their sums overflow the floating-point range"
 
@@ -128,10 +136,23 @@ def mic(alpha: float, beta: float) -> float:
     The smallest concentration with offspring mean <= 1, which under
     ``m(c) = 2/(1 + alpha * c**beta)`` is ``alpha ** (-1/beta)``. Inherits
     whatever unit the input concentrations carry.
+
+    Raises:
+        InvalidParameterError: if alpha or beta is not positive, or the MIC
+            overflows the floating-point range.
     """
     if not (alpha > 0.0) or not (beta > 0.0):
         raise InvalidParameterError(f"alpha and beta must be positive, got ({alpha!r}, {beta!r})")
-    return alpha ** (-1.0 / beta)
+    try:
+        theta = alpha ** (-1.0 / beta)
+    except OverflowError:
+        theta = math.inf
+    # a subnormal beta makes the exponent -inf, and then alpha < 1 gives inf unraised
+    if theta == math.inf:
+        raise InvalidParameterError(
+            f"the MIC of alpha {alpha!r} and beta {beta!r} overflows the floating-point range"
+        )
+    return theta
 
 
 def invert_mean_total(mu: float, n_generations: int) -> float:
@@ -157,22 +178,14 @@ def invert_mean_total(mu: float, n_generations: int) -> float:
         return 0.0
     if mu == upper:
         return 2.0
-    lo, hi = 0.0, 2.0
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if _growth_curve(mid, n_generations) < mu:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(mu, n_generations)
 
 
 def invert_mean_totals(mu: np.ndarray, n_generations: int) -> np.ndarray:
     """``invert_mean_total`` applied to every element of an array, bit for bit.
 
-    Every element takes the same 41 halvings of [0, 2], and each step
-    evaluates the growth curve with the scalar Horner recurrence, operation
-    for operation, so the results equal the scalar ones exactly.
+    Both run one loop, ``_bisect``, whose every step applies the scalar
+    operations elementwise, so the results equal the scalar ones exactly.
 
     Raises:
         InvalidParameterError: if some element lies outside [1, 2**n].
@@ -185,17 +198,20 @@ def invert_mean_totals(mu: np.ndarray, n_generations: int) -> np.ndarray:
         raise InvalidParameterError(
             f"mu must lie in [1, 2**{n_generations}] = [1, {upper}] everywhere"
         )
-    lo = np.zeros_like(mu)
-    hi = np.full_like(mu, 2.0)
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        below = _growth_curve(mid, n_generations) < mu
-        np.copyto(lo, mid, where=below)
-        np.copyto(hi, mid, where=~below)
-    m = 0.5 * (lo + hi)
+    m = _bisect(mu, n_generations)
     m[mu == 1.0] = 0.0
     m[mu == upper] = 2.0
     return m
+
+
+def _bisect(mu, n_generations: int):
+    # 41 halvings of [0, 2] toward mu, float or array. Every bracket end is a
+    # multiple of 2**-40 in [0, 2], so the midpoint 0.5*(lo + hi) is exactly
+    # lo + step, and the result is the last bracket's midpoint.
+    lo = 0.0
+    for step in _HALF_WIDTHS:
+        lo = lo + step * (_growth_curve(lo + step, n_generations) < mu)
+    return lo + 2.0**-_BISECTION_STEPS
 
 
 def estimate_offspring_means(
@@ -231,7 +247,7 @@ def estimate_offspring_mean(
     Args:
         cts: Replicate Ct values at one concentration.
         a: Calibration constant (known or previously estimated).
-        x0: Initial live cells per well.
+        x0: Initial live cells per well, in [1, ``MAX_COUNT``].
         n_generations: Generation count (known or previously estimated).
         concentration: Recorded on the result for downstream selection.
     """
@@ -482,7 +498,9 @@ def _covariance_sums(
         )
         sums = (s2a, sab, s2b, s2t)
         finite = all(math.isfinite(v) for v in sums)
-    except (OverflowError, ValueError):  # ValueError: fsum of opposite infinities
+    # ValueError: fsum of opposite infinities; ZeroDivisionError: beta**2 * D**2
+    # underflowed to 0
+    except (OverflowError, ValueError, ZeroDivisionError):
         finite = False
     if not finite:
         raise SingularDesignError("covariance overflows the floating-point range")
@@ -496,6 +514,7 @@ def estimate_calibration(cts: Sequence[float], x0: int) -> float:
     total count stays at the inoculum, so ``mean(cts) + log2(x0)`` recovers
     the instrument constant. The caller asserts that the lanes qualify.
     """
+    _check_x0(x0)
     return _mean_ct(cts) + math.log2(x0)
 
 
@@ -506,12 +525,23 @@ def estimate_generations(cts: Sequence[float], a_hat: float, x0: int) -> float:
     ``a_hat - log2(x0) - mean(cts)`` estimates the number of generations.
     Returned as a real number; round with ``round_generations`` for use as a
     generation count and keep the raw value as a diagnostic.
+
+    Raises:
+        InvalidParameterError: if the estimate overflows the floating-point
+            range.
     """
-    return _log2_mean_total(_mean_ct(cts), a_hat, x0)
+    n_hat = _log2_mean_total(_mean_ct(cts), a_hat, x0)
+    if not math.isfinite(n_hat):
+        raise InvalidParameterError(
+            f"generation estimate {n_hat} overflows: check the Ct values and a_hat {a_hat!r}"
+        )
+    return n_hat
 
 
 def round_generations(value: float) -> int:
-    """Nearest integer with half-way cases rounding up."""
+    """Nearest integer with half-way cases rounding up; ``value`` must be finite."""
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"generation estimate must be finite, got {value!r}")
     return int(math.floor(value + 0.5))
 
 
@@ -556,6 +586,7 @@ def _mean_ct(cts: Sequence[float]) -> float:
 
 def _log2_mean_total(mean_ct, a: float, x0: int):
     # the Ct model solved for log2 of the total per initial cell; float or array
+    _check_x0(x0)
     return a - math.log2(x0) - mean_ct
 
 

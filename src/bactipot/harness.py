@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .branching import GrowthParams, mean_from_concentration, mean_total_from_mean
+from .branching import GrowthParams, _check_x0, mean_from_concentration, mean_total_from_mean
 from .errors import (
     InsufficientDataError,
     InvalidParameterError,
@@ -37,6 +37,7 @@ from .estimators import (
     estimate_offspring_means,
     fit_dose_response,
     fit_dose_response_rows,
+    mic,
     round_generations,
 )
 from .measurement import CtDataset, MeasurementConfig, check_grid, synthesize_plates
@@ -133,7 +134,7 @@ class PipelineConfig:
             calibration constant and noise level.
         low_c_choice: The lane treated as free growth for the
             generation-count estimate, matched by ``same_concentration``.
-        x0: Initial live cells per well.
+        x0: Initial live cells per well, in [1, ``MAX_COUNT``].
         fit_concentrations: Explicit lanes for the regression, matched by
             ``same_concentration``, or None to auto-select lanes whose
             offspring-mean estimate is informative.
@@ -149,8 +150,7 @@ class PipelineConfig:
             object.__setattr__(
                 self, "fit_concentrations", tuple(self.fit_concentrations)
             )
-        if self.x0 < 1:
-            raise InvalidParameterError(f"x0 must be >= 1, got {self.x0!r}")
+        _check_x0(self.x0)
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,7 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
     root_n = math.sqrt(m.replicates)
     scaled_a = root_n * (alphas - config.params.alpha)
     scaled_b = root_n * (betas - config.params.beta)
-    true_theta = config.params.alpha ** (-1.0 / config.params.beta)
+    true_theta = mic(config.params.alpha, config.params.beta)
     scaled_t = root_n * (thetas - true_theta)
 
     theoretical = asymptotic_covariance(config.grid, config.params, m.n_generations, m.sigma_eps)
@@ -376,7 +376,7 @@ def fit_dataset(dataset: CtDataset, pipeline: PipelineConfig) -> PipelineFit:
     a_hat = estimate_calibration(pooled_high, pipeline.x0)
     sigma_eps_hat = estimate_noise_sd(high.values())
     n_hat = estimate_generations(low_cts, a_hat, pipeline.x0)
-    n_used = round_generations(n_hat) if math.isfinite(n_hat) else 0
+    n_used = round_generations(n_hat)
     # 62 doublings already exhaust the supported count range
     if not 1 <= n_used <= 62:
         raise InsufficientDataError(

@@ -24,9 +24,9 @@ import csv
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .branching import (
     GrowthParams,
@@ -109,23 +109,31 @@ class MeasurementConfig:
             raise InvalidParameterError(f"replicates must be >= 1, got {self.replicates!r}")
 
 
-@dataclass(frozen=True)
-class CtObservation:
-    """One well: concentration, replicate index, measured Ct."""
+class CtObservation(NamedTuple):
+    """One well: concentration, replicate index, measured Ct; ``CtDataset`` checks it."""
 
     concentration: float
     replicate: int
     ct: float
 
-    def __post_init__(self):
-        if not (0.0 < self.concentration < math.inf):
-            raise InvalidParameterError(
-                f"concentration must be finite and positive, got {self.concentration!r}"
-            )
-        if self.replicate < 1:
-            raise InvalidParameterError(f"replicate must be >= 1, got {self.replicate!r}")
-        if not math.isfinite(self.ct):
-            raise InvalidParameterError(f"ct must be finite, got {self.ct!r}")
+
+def _check_observation(obs: CtObservation, seen: set, line: int | None = None) -> None:
+    # the row rules, and the pair rule against ``seen``, which gains the pair;
+    # a file's reader passes ``line`` to get a DatasetFormatError naming it
+    concentration, replicate, ct = obs
+    key = (concentration, replicate)
+    if not 0.0 < concentration < math.inf:
+        problem = f"concentration must be finite and positive, got {concentration!r}"
+    elif replicate < 1:
+        problem = f"replicate must be >= 1, got {replicate!r}"
+    elif not math.isfinite(ct):
+        problem = f"ct must be finite, got {ct!r}"
+    elif key in seen:
+        problem = f"duplicate (concentration, replicate) pair {key!r}"
+    else:
+        seen.add(key)
+        return
+    raise InvalidParameterError(problem) if line is None else DatasetFormatError(problem, line)
 
 
 @dataclass(frozen=True)
@@ -140,41 +148,39 @@ class CtDataset:
 
     observations: tuple[CtObservation, ...]
     config: MeasurementConfig | None = None
+    _lanes: dict[float, tuple[float, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "observations", tuple(self.observations))
-        seen = set()
-        for obs in self.observations:
-            key = (obs.concentration, obs.replicate)
-            if key in seen:
-                raise InvalidParameterError(
-                    f"duplicate (concentration, replicate) pair {key!r}"
-                )
-            seen.add(key)
-        if seen:
-            check_grid(sorted({c for c, _ in seen}))
+        # the one pass over the rows: their rules, and the lanes in input order
+        observations = tuple(self.observations)
+        seen: set[tuple[float, int]] = set()
+        lanes: dict[float, list[float]] = {}
+        for obs in observations:
+            _check_observation(obs, seen)
+            lanes.setdefault(obs.concentration, []).append(obs.ct)
+        order = sorted(lanes)
+        if order:
+            check_grid(order)
+        object.__setattr__(self, "observations", observations)
+        object.__setattr__(self, "_lanes", {c: tuple(lanes[c]) for c in order})
 
     def __len__(self) -> int:
         return len(self.observations)
 
     def concentrations(self) -> tuple[float, ...]:
         """Distinct concentrations in increasing order."""
-        return tuple(sorted({obs.concentration for obs in self.observations}))
+        return tuple(self._lanes)
 
     def cts_at(self, concentration: float) -> tuple[float, ...]:
         """Ct values of the lane ``same_concentration`` matches, in input order."""
-        return tuple(
-            obs.ct
-            for obs in self.observations
-            if same_concentration(obs.concentration, concentration)
-        )
+        for lane, cts in self._lanes.items():
+            if same_concentration(lane, concentration):
+                return cts
+        return ()
 
     def grouped(self) -> dict[float, tuple[float, ...]]:
-        """Ct values keyed by the exact recorded concentration, in increasing order."""
-        groups: dict[float, list[float]] = {}
-        for obs in self.observations:
-            groups.setdefault(obs.concentration, []).append(obs.ct)
-        return {c: tuple(groups[c]) for c in sorted(groups)}
+        """A copy of the lanes: Ct values by exact recorded concentration, increasing."""
+        return dict(self._lanes)
 
 
 def synthesize_ct(
@@ -303,22 +309,13 @@ def read_dataset(source: str | Path | IO[str]) -> CtDataset:
                 if not row:
                     continue
                 if len(row) != 3:
-                    raise DatasetFormatError(
-                        f"expected 3 fields, got {len(row)}", line=line
-                    )
-                concentration = _parse_float(row[0], "concentration", line)
-                replicate = _parse_int(row[1], "replicate", line)
-                ct = _parse_float(row[2], "ct", line)
-                try:
-                    obs = CtObservation(concentration, replicate, ct)
-                except InvalidParameterError as exc:
-                    raise DatasetFormatError(str(exc), line=line) from None
-                key = (obs.concentration, obs.replicate)
-                if key in seen:
-                    raise DatasetFormatError(
-                        f"duplicate (concentration, replicate) pair {key!r}", line=line
-                    )
-                seen.add(key)
+                    raise DatasetFormatError(f"expected 3 fields, got {len(row)}", line=line)
+                obs = CtObservation(
+                    _parse_float(row[0], "concentration", line),
+                    _parse_int(row[1], "replicate", line),
+                    _parse_float(row[2], "ct", line),
+                )
+                _check_observation(obs, seen, line)
                 observations.append(obs)
         except csv.Error as exc:
             raise DatasetFormatError(f"malformed CSV: {exc}", line=reader.line_num) from None

@@ -16,7 +16,11 @@ from bactipot import (
     InvalidParameterError,
     MeasurementConfig,
     OffspringDistribution,
+    PipelineConfig,
     dist_from_mean,
+    estimate_calibration,
+    estimate_generations,
+    estimate_offspring_mean,
     extinction_probability,
     mean_from_concentration,
     mean_total,
@@ -346,8 +350,20 @@ class TestSimulate:
         lambda x0: simulate(x0, dist_from_mean(1.5), 0, spawn_rng(0)),
         lambda x0: simulate_batch(x0, dist_from_mean(1.5), 0, 2, spawn_rng(0)),
         lambda x0: MeasurementConfig(x0=x0),
+        lambda x0: PipelineConfig(high_c_threshold=1.0, low_c_choice=0.5, x0=x0),
+        lambda x0: estimate_offspring_mean([0.0], 0.0, x0, 10),
+        lambda x0: estimate_calibration([0.0], x0),
+        lambda x0: estimate_generations([0.0], 0.0, x0),
     ],
-    ids=["simulate", "simulate_batch", "MeasurementConfig"],
+    ids=[
+        "simulate",
+        "simulate_batch",
+        "MeasurementConfig",
+        "PipelineConfig",
+        "estimate_offspring_mean",
+        "estimate_calibration",
+        "estimate_generations",
+    ],
 )
 class TestInoculumRange:
     def test_below_one_is_invalid(self, run):

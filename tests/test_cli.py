@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bactipot import dist_from_mean, simulate_batch, spawn_rng
+from bactipot import MAX_COUNT, dist_from_mean, simulate_batch, spawn_rng
 from bactipot.cli import UsageError, _parse_grid, main
 from bactipot.measurement import check_grid
 
@@ -711,6 +711,30 @@ class TestSeedsAndErrors:
         assert status == 1 and out == ""
         seed_line, error_line = err.strip().splitlines()
         assert seed_line == "bactipot: seed=0" and error_line.startswith("bactipot: error: ")
+
+    def test_mc_study_overflowing_mic_is_data_error(self, run):
+        status, out, err = run(
+            "mc-study", "--alpha", "1e-300", "--beta", "1e-300", "--grid", "1,2,4",
+            "--measurements", "3",
+        )
+        assert status == 1 and out == ""
+        assert err.splitlines() == [
+            "bactipot: seed=0",
+            "bactipot: error: the MIC of alpha 1e-300 and beta 1e-300 overflows the "
+            "floating-point range",
+        ]
+
+    def test_fit_x0_beyond_the_count_range_is_data_error(self, run):
+        _, plate, _ = run(
+            "synth", "--alpha", "10", "--beta", "1", "--a", "20", "--seed", "1",
+            "--grid", "2^-7,2^-6,2^-5,2^-4,2^-3,2^-2,2^-1,1,2,4,8,16",
+        )
+        status, out, err = run(
+            "fit", "--input", "-", "--high-c", "2", "--low-c", "2^-7",
+            "--x0", str(MAX_COUNT + 1), stdin=plate,
+        )
+        assert status == 1 and out == ""
+        assert err == f"bactipot: error: x0 must be <= {MAX_COUNT}, got {MAX_COUNT + 1}\n"
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize(

@@ -8,6 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bactipot import (
+    MAX_COUNT,
+    AsymptoticCovariance,
+    BactipotError,
+    FitResult,
     GrowthParams,
     InsufficientDataError,
     InvalidParameterError,
@@ -131,8 +135,29 @@ class TestInvertMeanTotal:
             invert_mean_totals(np.array([2.0, 1025.0]), 10)
 
 
+def halving_bisection(mu, n):
+    """The textbook form of the inversion: 41 halvings of [0, 2], then the
+    midpoint of the last bracket."""
+    lo, hi = 0.0, 2.0
+    for _ in range(41):
+        mid = 0.5 * (lo + hi)
+        if mean_total_from_mean(mid, n) < mu:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestInvertMeanTotals:
-    @pytest.mark.parametrize("n", [1, 10, 62, 1023])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 31, 62, 63, 100, 500, 1023])
+    def test_scalar_is_the_textbook_bisection(self, n):
+        rng = spawn_rng(402, n)
+        interior = np.exp2(rng.uniform(0.0, n, size=40)).tolist()
+        for mu in [1.0 + 2.0**-40, 2.0**n * (1 - 2.0**-40), *interior]:
+            mu = min(max(mu, 1.0), 2.0**n)
+            assert invert_mean_total(mu, n) == halving_bisection(mu, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 31, 62, 63, 100, 500, 1023])
     def test_bit_identical_to_scalar_bisection(self, n):
         rng = spawn_rng(401, n)
         interior = np.exp2(rng.uniform(0.0, n, size=500))
@@ -433,6 +458,12 @@ class TestAsymptoticCovariance:
         with pytest.raises(InvalidParameterError):
             asymptotic_covariance(BAD_GRIDS[fault], GrowthParams(10, 1), 10, 0.2)
 
+    def test_underflowed_mic_divisor_is_singular(self):
+        # beta**2 * D**2 is 0.0 in double precision
+        params = GrowthParams(1.0, 3.756399507857734e-234)
+        with pytest.raises(SingularDesignError, match="covariance"):
+            asymptotic_covariance([1.0, 2.0], params, 1, 0.0)
+
     @staticmethod
     def random_design(rng):
         alpha = float(np.exp(rng.uniform(-1.0, 4.5)))
@@ -508,6 +539,15 @@ class TestNuisanceEstimators:
         assert round_generations(10.49) == 10
         assert round_generations(10.5) == 11
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_round_generations_rejects_non_finite(self, value):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            round_generations(value)
+
+    def test_overflowing_generation_estimate_is_an_error(self):
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            estimate_generations([-1.7e308], 1.7e308, 1)
+
     def test_noise_sd_identical_replicates(self):
         assert estimate_noise_sd([[1.5, 1.5, 1.5]]) == 0.0
 
@@ -554,3 +594,115 @@ class TestMic:
         params = GrowthParams(71.8, 2.46)
         theta = mic(71.8, 2.46)
         assert mean_from_concentration(params, theta) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(1e-300, 1e-300), (0.5, 5e-324)],
+        ids=["power-overflows", "subnormal-beta"],
+    )
+    def test_overflowing_mic_is_an_error(self, alpha, beta):
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            mic(alpha, beta)
+
+
+#: Any finite double, the domain of every float argument below.
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+ct_lists = st.lists(finite_floats, max_size=5)
+inocula = st.integers(min_value=1, max_value=MAX_COUNT)
+generation_counts = st.integers(min_value=1, max_value=1023)
+
+
+def assert_finite_or_package_error(call, *args):
+    """``call(*args)`` gives only finite numbers or raises a ``BactipotError``."""
+    try:
+        result = call(*args)
+    except BactipotError:
+        return
+    if isinstance(result, MeanEstimate):
+        values = [result.mu_hat, result.m_hat]
+    elif isinstance(result, FitResult):
+        values = [result.alpha_hat, result.beta_hat, result.mic_hat]
+    elif isinstance(result, AsymptoticCovariance):
+        values = [
+            result.sigma2_alpha,
+            result.sigma_alphabeta,
+            result.sigma2_beta,
+            result.sigma2_theta,
+            *result.k_factors,
+        ]
+    else:
+        values = np.ravel(result).tolist()
+    assert all(math.isfinite(v) for v in values), (args, result)
+
+
+class TestPublicEstimatorsAreFiniteOrRaise:
+    """Each public estimator, on finite input, returns finite numbers or
+    raises a ``BactipotError``; no raw ``OverflowError`` or ``ValueError``.
+
+    ``fit_dose_response_rows`` is left out: it marks a failed row with NaN.
+    """
+
+    @given(finite_floats, finite_floats)
+    def test_mic(self, alpha, beta):
+        assert_finite_or_package_error(mic, alpha, beta)
+
+    @given(finite_floats, generation_counts)
+    def test_invert_mean_total(self, mu, n):
+        assert_finite_or_package_error(invert_mean_total, mu, n)
+
+    @given(st.lists(finite_floats, max_size=4), generation_counts)
+    @settings(max_examples=50)
+    def test_invert_mean_totals(self, mus, n):
+        assert_finite_or_package_error(invert_mean_totals, np.array(mus, dtype=float), n)
+
+    @given(ct_lists, finite_floats, inocula, generation_counts)
+    def test_estimate_offspring_mean(self, cts, a, x0, n):
+        assert_finite_or_package_error(estimate_offspring_mean, cts, a, x0, n)
+
+    @given(st.lists(finite_floats, max_size=4), finite_floats, inocula, generation_counts)
+    @settings(max_examples=25)  # each example runs up to 41 array Horner sweeps of 1023 terms
+    def test_estimate_offspring_means(self, mean_cts, a, x0, n):
+        mean_cts = np.array(mean_cts, dtype=float)
+        assert_finite_or_package_error(estimate_offspring_means, mean_cts, a, x0, n)
+
+    @given(
+        st.lists(st.tuples(finite_floats, finite_floats), max_size=5),
+        st.none() | st.lists(finite_floats, max_size=3),
+    )
+    def test_fit_dose_response(self, pairs, subset):
+        estimates = [MeanEstimate(c, 1.0, m, False) for c, m in pairs]
+        assert_finite_or_package_error(fit_dose_response, estimates, subset)
+
+    @given(finite_floats, finite_floats, finite_floats, generation_counts, finite_floats)
+    def test_k_factor(self, c, alpha, beta, n, sigma_eps):
+        assert_finite_or_package_error(
+            lambda: k_factor(c, GrowthParams(alpha, beta), n, sigma_eps)
+        )
+
+    @given(
+        st.lists(finite_floats, max_size=4),
+        finite_floats,
+        finite_floats,
+        generation_counts,
+        finite_floats,
+    )
+    def test_asymptotic_covariance(self, cs, alpha, beta, n, sigma_eps):
+        assert_finite_or_package_error(
+            lambda: asymptotic_covariance(cs, GrowthParams(alpha, beta), n, sigma_eps)
+        )
+
+    @given(ct_lists, inocula)
+    def test_estimate_calibration(self, cts, x0):
+        assert_finite_or_package_error(estimate_calibration, cts, x0)
+
+    @given(ct_lists, finite_floats, inocula)
+    def test_estimate_generations(self, cts, a_hat, x0):
+        assert_finite_or_package_error(estimate_generations, cts, a_hat, x0)
+
+    @given(finite_floats)
+    def test_round_generations(self, value):
+        assert_finite_or_package_error(round_generations, value)
+
+    @given(st.lists(ct_lists, max_size=4))
+    def test_estimate_noise_sd(self, groups):
+        assert_finite_or_package_error(estimate_noise_sd, groups)

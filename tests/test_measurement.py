@@ -154,6 +154,28 @@ class TestSimulateExperiment:
 
 
 class TestDatasetType:
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((0.25, 0, -10.0), "replicate must be >= 1, got 0"),
+            ((0.25, 1, math.nan), "ct must be finite, got nan"),
+            ((-0.25, 1, -10.0), "concentration must be finite and positive, got -0.25"),
+        ],
+        ids=["zero-replicate", "nan-ct", "negative-concentration"],
+    )
+    def test_row_rules_are_checked_by_the_dataset(self, row, message):
+        obs = CtObservation(*row)  # a plain row: the dataset holds the rules
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            CtDataset((CtObservation(0.5, 1, -9.0), obs))
+
+    def test_grouped_returns_a_copy(self):
+        dataset = CtDataset((CtObservation(0.25, 1, -2.0), CtObservation(0.5, 1, -1.0)))
+        groups = dataset.grouped()
+        groups[0.25] = (99.0,)
+        del groups[0.5]
+        assert dataset.grouped() == {0.25: (-2.0,), 0.5: (-1.0,)}
+        assert dataset.cts_at(0.25) == (-2.0,) and dataset.concentrations() == (0.25, 0.5)
+
     def test_duplicate_pairs_rejected(self):
         obs = (CtObservation(0.25, 1, -10.0), CtObservation(0.25, 1, -11.0))
         with pytest.raises(InvalidParameterError):
@@ -287,8 +309,10 @@ class TestCsvErrors:
 
     def test_duplicate_key_names_the_line(self):
         text = "concentration,replicate,ct\n0.25,1,-10.5\n0.25,1,-10.6\n"
-        with pytest.raises(DatasetFormatError, match="line 3"):
+        with pytest.raises(DatasetFormatError, match="line 3") as exc_info:
             read_dataset(io.StringIO(text))
+        assert exc_info.value.line == 3
+        assert str(exc_info.value) == "line 3: duplicate (concentration, replicate) pair (0.25, 1)"
 
     def test_twin_lanes_rejected(self):
         text = f"concentration,replicate,ct\n0.03125,1,-10.5\n0.03125,2,-10.6\n{TWIN!r},1,-10.4\n"
