@@ -275,7 +275,7 @@ def simulate(
     Args:
         x0: Initial number of live cells, in [1, ``MAX_COUNT``].
         dist: Offspring distribution applied at every generation.
-        n_generations: Number of steps to take.
+        n_generations: Number of steps to take, in [0, 1023].
         rng: Source of randomness; the trajectory is a deterministic
             function of its state.
 
@@ -311,7 +311,7 @@ def simulate_batch(
         x0: Initial live count shared by every replicate, in [1, ``MAX_COUNT``].
         dist: Offspring distribution of every replicate, or a sequence of
             distributions, one per lane of ``replicates`` wells.
-        n_generations: Number of steps to take.
+        n_generations: Number of steps to take, in [0, 1023].
         replicates: Number of independent trajectories per distribution, >= 1.
         rng: Source of randomness.
 
@@ -365,7 +365,9 @@ def _check_x0(x0: int) -> None:
 
 
 def _check_generations(n_generations: int, minimum: int) -> None:
-    if n_generations < minimum:
+    # the one generation rule: 1023 is the largest n with 2.0**n finite, and
+    # every total-count ceiling and inversion needs 2**n as a float
+    if not minimum <= n_generations <= 1023:
         raise InvalidParameterError(
-            f"n_generations must be >= {minimum}, got {n_generations!r}"
+            f"n_generations must lie in [{minimum}, 1023], got {n_generations!r}"
         )

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .branching import (
     GrowthParams,
+    _check_generations,
     _check_x0,
     _growth_curve,
     mean_from_concentration,
@@ -139,7 +140,7 @@ def mic(alpha: float, beta: float) -> float:
 
     Raises:
         InvalidParameterError: if alpha or beta is not positive, or the MIC
-            overflows the floating-point range.
+            overflows the floating-point range or underflows to 0.
     """
     if not (alpha > 0.0) or not (beta > 0.0):
         raise InvalidParameterError(f"alpha and beta must be positive, got ({alpha!r}, {beta!r})")
@@ -148,9 +149,10 @@ def mic(alpha: float, beta: float) -> float:
     except OverflowError:
         theta = math.inf
     # a subnormal beta makes the exponent -inf, and then alpha < 1 gives inf unraised
-    if theta == math.inf:
+    if not 0.0 < theta < math.inf:
+        way = "overflows" if theta else "underflows"
         raise InvalidParameterError(
-            f"the MIC of alpha {alpha!r} and beta {beta!r} overflows the floating-point range"
+            f"the MIC of alpha {alpha!r} and beta {beta!r} {way} the floating-point range"
         )
     return theta
 
@@ -168,7 +170,7 @@ def invert_mean_total(mu: float, n_generations: int) -> float:
             expected to clamp noisy estimates first (see
             ``estimate_offspring_mean``).
     """
-    _check_generation_count(n_generations)
+    _check_generations(n_generations, minimum=1)
     upper = 2.0**n_generations
     if math.isnan(mu) or mu < 1.0 or mu > upper:
         raise InvalidParameterError(
@@ -179,29 +181,6 @@ def invert_mean_total(mu: float, n_generations: int) -> float:
     if mu == upper:
         return 2.0
     return _bisect(mu, n_generations)
-
-
-def invert_mean_totals(mu: np.ndarray, n_generations: int) -> np.ndarray:
-    """``invert_mean_total`` applied to every element of an array, bit for bit.
-
-    Both run one loop, ``_bisect``, whose every step applies the scalar
-    operations elementwise, so the results equal the scalar ones exactly.
-
-    Raises:
-        InvalidParameterError: if some element lies outside [1, 2**n].
-    """
-    import numpy as np
-    _check_generation_count(n_generations)
-    mu = np.asarray(mu, dtype=float)
-    upper = 2.0**n_generations
-    if not np.all((mu >= 1.0) & (mu <= upper)):
-        raise InvalidParameterError(
-            f"mu must lie in [1, 2**{n_generations}] = [1, {upper}] everywhere"
-        )
-    m = _bisect(mu, n_generations)
-    m[mu == 1.0] = 0.0
-    m[mu == upper] = 2.0
-    return m
 
 
 def _bisect(mu, n_generations: int):
@@ -220,15 +199,23 @@ def estimate_offspring_means(
     """Offspring-mean estimates for an array of lane mean Ct values.
 
     The array form of ``estimate_offspring_mean``: each element's
-    ``a - log2(x0) - mean_ct`` is clamped into [0, n] in log space and the
-    total-count estimate ``2 ** (...)`` is inverted with
-    ``invert_mean_totals``.
+    ``a - log2(x0) - mean_ct`` is clamped into [0, n] in log space, and the
+    total-count estimate ``2 ** (...)`` goes through the bisection loop of
+    ``invert_mean_total``, which applies the scalar steps elementwise.
+
+    Raises:
+        InvalidParameterError: if that log-total is NaN for some element.
     """
     import numpy as np
-    _check_generation_count(n_generations)
-    log2_mu = _log2_mean_total(np.asarray(mean_cts, dtype=float), a, x0)
-    mu = np.clip(np.power(2.0, np.clip(log2_mu, 0.0, n_generations)), 1.0, 2.0**n_generations)
-    return invert_mean_totals(mu, n_generations)
+    _check_generations(n_generations, minimum=1)
+    # overflow gives +-inf, clamped as the scalar estimate clamps it; inf - inf is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        log2_mu = _log2_mean_total(np.asarray(mean_cts, dtype=float), a, x0)
+    if np.isnan(log2_mu).any():
+        raise InvalidParameterError("a - log2(x0) - mean_ct is NaN for some lane")
+    upper = 2.0**n_generations
+    mu = np.clip(np.power(2.0, np.clip(log2_mu, 0.0, n_generations)), 1.0, upper)
+    return np.where(mu == 1.0, 0.0, np.where(mu == upper, 2.0, _bisect(mu, n_generations)))
 
 
 def estimate_offspring_mean(
@@ -251,7 +238,7 @@ def estimate_offspring_mean(
         n_generations: Generation count (known or previously estimated).
         concentration: Recorded on the result for downstream selection.
     """
-    _check_generation_count(n_generations)
+    _check_generations(n_generations, minimum=1)
     log2_mu = _log2_mean_total(_mean_ct(cts), a, x0)
     # clamp in log space so absurd inputs cannot overflow the power
     if log2_mu < 0.0:
@@ -338,9 +325,9 @@ def fit_dose_response(
         alpha_hat = math.exp((sum_f - beta_hat * l1) / k)
         mic_hat = alpha_hat ** (-1.0 / beta_hat)
     except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: alpha_hat underflowed to 0
-        raise SingularDesignError(
-            "degenerate fit: parameters leave the floating-point range"
-        ) from None
+        mic_hat = math.nan
+    if not 0.0 < mic_hat < math.inf:  # also a MIC that underflowed to 0
+        raise SingularDesignError("degenerate fit: parameters leave the floating-point range")
     return FitResult(
         alpha_hat=alpha_hat,
         beta_hat=beta_hat,
@@ -366,8 +353,8 @@ def fit_dose_response_rows(
     Returns:
         Array of shape ``(rows, 3)`` holding ``(alpha_hat, beta_hat,
         mic_hat)`` per row, NaN in rows where the scalar fit would raise
-        (fewer than two usable lanes, a degenerate design, a flat slope or
-        parameters that overflow).
+        (fewer than two usable lanes, a degenerate design, a flat slope,
+        parameters that overflow or a MIC that underflows to 0).
     """
     import numpy as np
     cs = np.asarray(concentrations, dtype=float)
@@ -384,7 +371,7 @@ def fit_dose_response_rows(
         alpha = np.exp((sum_f - beta * l1) / k)
         theta = alpha ** (-1.0 / beta)
     fits = np.stack([alpha, beta, theta], axis=1)
-    ok = (k >= 2) & (denominator > 0.0) & (beta != 0.0)
+    ok = (k >= 2) & (denominator > 0.0) & (beta != 0.0) & (theta > 0.0)
     ok &= np.isfinite(fits).all(axis=1)
     fits[~ok] = math.nan
     return fits
@@ -408,7 +395,7 @@ def k_factor(
             0 or 2, where the lane carries no regression information, or if
             the gain is not finite in double precision.
     """
-    _check_generation_count(n_generations)
+    _check_generations(n_generations, minimum=1)
     check_sigma_eps(sigma_eps)
     m = mean_from_concentration(params, concentration)
     if not (0.0 < m < 2.0):
@@ -497,13 +484,14 @@ def _covariance_sums(
             * math.fsum(k * k * (a - ratio * b) ** 2 for k, a, b in zip(ks, a_terms, b_terms))
         )
         sums = (s2a, sab, s2b, s2t)
-        finite = all(math.isfinite(v) for v in sums)
+        # a MIC that underflowed to 0 would report a zero MIC variance
+        finite = theta > 0.0 and all(math.isfinite(v) for v in sums)
     # ValueError: fsum of opposite infinities; ZeroDivisionError: beta**2 * D**2
     # underflowed to 0
     except (OverflowError, ValueError, ZeroDivisionError):
         finite = False
     if not finite:
-        raise SingularDesignError("covariance overflows the floating-point range")
+        raise SingularDesignError("covariance leaves the floating-point range")
     return sums
 
 
@@ -589,10 +577,3 @@ def _log2_mean_total(mean_ct, a: float, x0: int):
     _check_x0(x0)
     return a - math.log2(x0) - mean_ct
 
-
-def _check_generation_count(n_generations: int) -> None:
-    # 2**n must stay a finite float for the clamp ceiling and inversion
-    if not 1 <= n_generations <= 1023:
-        raise InvalidParameterError(
-            f"n_generations must lie in [1, 1023], got {n_generations!r}"
-        )

@@ -30,6 +30,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .branching import (
     GrowthParams,
+    _check_generations,
     _check_x0,
     dist_from_mean,
     mean_from_concentration,
@@ -88,7 +89,7 @@ class MeasurementConfig:
         a: Calibration constant (Ct units). Zero for plain synthetic data.
         sigma_eps: Standard deviation of the Ct measurement noise, finite, >= 0.
         x0: Initial live cells per well, in [1, ``MAX_COUNT``].
-        n_generations: Generations grown before measurement.
+        n_generations: Generations grown before measurement, in [1, 1023].
         replicates: Independent wells per concentration.
     """
 
@@ -101,10 +102,7 @@ class MeasurementConfig:
     def __post_init__(self):
         check_sigma_eps(self.sigma_eps)
         _check_x0(self.x0)
-        if self.n_generations < 1:
-            raise InvalidParameterError(
-                f"n_generations must be >= 1, got {self.n_generations!r}"
-            )
+        _check_generations(self.n_generations, minimum=1)
         if self.replicates < 1:
             raise InvalidParameterError(f"replicates must be >= 1, got {self.replicates!r}")
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bactipot import (
     MAX_COUNT,
+    BactipotError,
     CountOverflowError,
     GrowthParams,
     InvalidParameterError,
@@ -22,6 +23,8 @@ from bactipot import (
     estimate_generations,
     estimate_offspring_mean,
     extinction_probability,
+    invert_mean_total,
+    k_factor,
     mean_from_concentration,
     mean_total,
     mean_total_bounds,
@@ -32,6 +35,7 @@ from bactipot import (
     spawn_rng,
 )
 from bactipot.branching import advance
+from bactipot.estimators import estimate_offspring_means
 
 means = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
 generations = st.integers(min_value=1, max_value=20)
@@ -262,6 +266,58 @@ class TestExtinctionProbability:
         assert extinction_probability(dist) == pytest.approx(q, abs=1e-12)
 
 
+@st.composite
+def offspring_distributions(draw):
+    """Any valid law: two cut points split [0, 1] into (p0, p1, p2)."""
+    low, high = sorted(draw(st.floats(min_value=0.0, max_value=1.0)) for _ in range(2))
+    return OffspringDistribution(low, high - low, 1.0 - high)
+
+
+#: Generation counts on both sides of the rule's range [minimum, 1023].
+any_generations = st.integers(min_value=-5, max_value=3000)
+any_means = st.one_of(means, st.floats())
+
+
+def assert_finite_or_package_error(call, *args):
+    """``call(*args)`` gives only finite numbers or raises a ``BactipotError``."""
+    try:
+        result = call(*args)
+    except BactipotError:
+        return
+    assert all(math.isfinite(v) for v in np.ravel(result)), (args, result)
+
+
+class TestClosedFormsAreFiniteOrRaise:
+    """Each exported closed form returns finite numbers or raises a
+    ``BactipotError``, for any generation count; never a raw
+    ``OverflowError`` or an ``inf``.
+
+    ``mean_total_derivative`` is left out: near m = 2 it is ``inf`` for
+    n >= 1015, which ``k_factor`` reports as singular
+    (``TestKFactor::test_overflowing_gain_is_singular``).
+    """
+
+    @given(st.one_of(offspring_distributions(), means.map(dist_from_mean)), any_generations)
+    @settings(max_examples=750)
+    def test_mean_total(self, dist, n):
+        assert_finite_or_package_error(mean_total, dist, n)
+
+    @given(any_means, any_generations)
+    @settings(max_examples=750)
+    def test_mean_total_from_mean(self, m, n):
+        assert_finite_or_package_error(mean_total_from_mean, m, n)
+
+    @given(any_means, any_generations)
+    @settings(max_examples=750)
+    def test_mean_total_bounds(self, m, n):
+        assert_finite_or_package_error(mean_total_bounds, m, n)
+
+    @given(offspring_distributions())
+    @settings(max_examples=750)
+    def test_extinction_probability(self, dist):
+        assert_finite_or_package_error(extinction_probability, dist)
+
+
 # ---------------------------------------------------------------------------
 # sampling: one generation, trajectories, batches
 # ---------------------------------------------------------------------------
@@ -379,7 +435,52 @@ class TestInoculumRange:
         run(MAX_COUNT)
 
 
+#: Every layer that takes a generation count, with the least count it accepts.
+#: The closed forms run at m = 2, where 2.0**1024 would overflow.
+GENERATION_COUNT_USERS = {
+    "mean_total": (0, lambda n: mean_total(dist_from_mean(2.0), n)),
+    "mean_total_from_mean": (0, lambda n: mean_total_from_mean(2.0, n)),
+    "mean_total_derivative": (1, lambda n: mean_total_derivative(2.0, n)),
+    "mean_total_bounds": (1, lambda n: mean_total_bounds(2.0, n)),
+    "advance": (0, lambda n: advance(np.ones(2), np.zeros(2), 0.5, 0.0, 0.5, n, spawn_rng(0))),
+    "simulate": (0, lambda n: simulate(1, dist_from_mean(0.5), n, spawn_rng(0))),
+    "simulate_batch": (0, lambda n: simulate_batch(1, dist_from_mean(0.5), n, 2, spawn_rng(0))),
+    "MeasurementConfig": (1, lambda n: MeasurementConfig(n_generations=n)),
+    "invert_mean_total": (1, lambda n: invert_mean_total(1.5, n)),
+    "estimate_offspring_mean": (1, lambda n: estimate_offspring_mean([-14.0], 0.0, 10**4, n)),
+    "estimate_offspring_means": (
+        1, lambda n: estimate_offspring_means(np.array([-14.0]), 0.0, 10**4, n)
+    ),
+    "k_factor": (1, lambda n: k_factor(2**-4, GrowthParams(10, 1), n, 0.2)),
+}
+
+
+@pytest.mark.parametrize("name", GENERATION_COUNT_USERS)
+class TestGenerationRange:
+    """One rule, ``minimum <= n <= 1023``, holds in every layer: 1023 is the
+    largest n with ``2.0**n`` finite."""
+
+    def test_below_the_minimum_is_invalid(self, name):
+        minimum, run = GENERATION_COUNT_USERS[name]
+        with pytest.raises(InvalidParameterError, match=rf"must lie in \[{minimum}, 1023\]"):
+            run(minimum - 1)
+
+    def test_past_1023_is_invalid(self, name):
+        _, run = GENERATION_COUNT_USERS[name]
+        with pytest.raises(InvalidParameterError, match="n_generations must lie in"):
+            run(1024)
+
+    def test_the_range_ends_are_accepted(self, name):
+        minimum, run = GENERATION_COUNT_USERS[name]
+        run(minimum)
+        run(1023)
+
+
 class TestSimulateBatch:
+    def test_replicates_below_one_are_invalid(self):
+        with pytest.raises(InvalidParameterError, match="replicates"):
+            simulate_batch(1, dist_from_mean(1.5), 2, 0, spawn_rng(0))
+
     def test_deterministic_and_shaped(self):
         alive1, dead1 = simulate_batch(100, dist_from_mean(1.4), 6, 50, spawn_rng(5))
         alive2, dead2 = simulate_batch(100, dist_from_mean(1.4), 6, 50, spawn_rng(5))

@@ -92,6 +92,11 @@ class TestSimulate:
         status, _, err = run("simulate", "--m", "1.5", "--p0", "0.25")
         assert status == 2 and "usage error" in err
 
+    def test_incomplete_probabilities_are_usage_error(self, run):
+        status, out, err = run("simulate", "--p0", "0.5")
+        assert status == 2 and out == ""
+        assert err == "bactipot: usage error: give either --m or all of --p0, --p1, --p2\n"
+
     @pytest.mark.parametrize(
         "args, expected",
         [
@@ -289,6 +294,14 @@ class TestSynthAndFit:
         assert status == 1 and out == "" and "UTF-8" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
+    def test_fit_header_only_is_data_error(self, run):
+        status, out, err = run(
+            "fit", "--input", "-", "--high-c", "2", "--low-c", "1", "--x0", "10",
+            stdin="concentration,replicate,ct\n",
+        )
+        assert status == 1 and out == ""
+        assert err == "bactipot: error: dataset holds no observations\n"
+
     def test_fit_bad_data_is_data_error(self, run, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("concentration,replicate,ct\n0.25,1,oops\n")
@@ -394,6 +407,42 @@ class TestDesignEval:
         )
         assert status == 0 and "best" in out
 
+    def test_pretty_table_prints_zero_as_zero(self, run):
+        status, out, _ = run(
+            "design-eval", "--alpha", "10", "--beta", "1", "--sigma-eps", "0",
+            "--designs", "2^-6,2^-4,2^-2", "--pretty",
+        )
+        assert status == 0
+        cells = out.splitlines()[1].split()
+        assert cells == ["0.0156,", "0.0625,", "0.25", "0", "0", "0", "0", "best"]
+
+    def test_pretty_table_marks_a_singular_row(self, run):
+        status, out, _ = run(
+            "design-eval", "--alpha", "10", "--beta", "1", "--gens", "1023",
+            "--designs", "2^-6,2^-4,2^-2;2^-12,2^-11", "--pretty",
+        )
+        assert status == 0
+        cells = out.splitlines()[2].split()
+        assert cells == ["0.000244,", "0.000488", "-", "-", "-", "-", "singular"]
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [("1e10", "1e-3"), ("1e-300", "1e-300")],
+        ids=["mic-underflows", "mic-overflows"],
+    )
+    def test_designs_whose_mic_leaves_the_float_range_are_singular(self, run, alpha, beta):
+        status, out, _ = run(
+            "design-eval", "--alpha", alpha, "--beta", beta, "--gens", "10",
+            "--designs", "1,2,4;2,4,8",
+        )
+        assert status == 0
+        assert [r[5] for r in parse_csv(out)[1:]] == ["singular", "singular"]
+
+    def test_designs_naming_no_design_is_usage_error(self, run):
+        status, out, err = run("design-eval", "--alpha", "10", "--beta", "1", "--designs", ";")
+        assert status == 2 and out == ""
+        assert err == "bactipot: usage error: --designs named no design\n"
+
     def test_generation_count_out_of_range_is_data_error(self, run):
         status, out, err = run(
             "design-eval", "--alpha", "10", "--beta", "1", "--gens", "2000",
@@ -435,6 +484,18 @@ class TestCurve:
     def test_bad_range_is_usage_error(self, run):
         status, _, err = run("curve", "--alpha", "10", "--beta", "1", "--range", "1:0.5")
         assert status == 2 and "--range" in err
+
+    def test_range_without_a_colon_is_usage_error(self, run):
+        status, out, err = run("curve", "--alpha", "10", "--beta", "1", "--range", "1")
+        assert status == 2 and out == ""
+        assert err == "bactipot: usage error: --range: expected LOW:HIGH, got '1'\n"
+
+    def test_fewer_than_two_points_is_usage_error(self, run):
+        status, out, err = run(
+            "curve", "--alpha", "10", "--beta", "1", "--range", "1:2", "--points", "1"
+        )
+        assert status == 2 and out == ""
+        assert err == "bactipot: usage error: --points must be >= 2, got 1\n"
 
 
 class TestFlags:
@@ -711,6 +772,26 @@ class TestSeedsAndErrors:
         assert status == 1 and out == ""
         seed_line, error_line = err.strip().splitlines()
         assert seed_line == "bactipot: seed=0" and error_line.startswith("bactipot: error: ")
+
+    @pytest.mark.parametrize(
+        "args, minimum",
+        [
+            (("simulate", "--m", "0.5", "--reps", "1"), 0),
+            (("simulate", "--m", "0.5", "--reps", "2"), 0),
+            (("synth", "--alpha", "10", "--beta", "1", "--grid", "1,2,4"), 1),
+            (("mc-study", "--alpha", "10", "--beta", "1", "--grid", "1,2,4",
+              "--measurements", "3"), 1),
+        ],
+        ids=["simulate-reps-1", "simulate-reps-2", "synth", "mc-study"],
+    )
+    def test_generation_count_past_1023_is_data_error(self, run, args, minimum):
+        # refused before anything is simulated, however long the run would be
+        status, out, err = run(*args, "--gens", "1024")
+        assert status == 1 and out == ""
+        assert err.splitlines() == [
+            "bactipot: seed=0",
+            f"bactipot: error: n_generations must lie in [{minimum}, 1023], got 1024",
+        ]
 
     def test_mc_study_overflowing_mic_is_data_error(self, run):
         status, out, err = run(

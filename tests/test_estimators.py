@@ -34,11 +34,11 @@ from bactipot import (
     spawn_rng,
 )
 from bactipot.estimators import (
+    _bisect,
     _covariance_sums,
     _design_sums,
     estimate_offspring_means,
     fit_dose_response_rows,
-    invert_mean_totals,
 )
 
 LOG2_X0 = math.log2(10**4)
@@ -131,8 +131,6 @@ class TestInvertMeanTotal:
             invert_mean_total(0.5, 10)
         with pytest.raises(InvalidParameterError):
             invert_mean_total(1025.0, 10)
-        with pytest.raises(InvalidParameterError):
-            invert_mean_totals(np.array([2.0, 1025.0]), 10)
 
 
 def halving_bisection(mu, n):
@@ -159,11 +157,13 @@ class TestInvertMeanTotals:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 31, 62, 63, 100, 500, 1023])
     def test_bit_identical_to_scalar_bisection(self, n):
+        # the array bisection of estimate_offspring_means, on totals strictly
+        # inside (1, 2**n), where invert_mean_total is one scalar _bisect call
         rng = spawn_rng(401, n)
-        interior = np.exp2(rng.uniform(0.0, n, size=500))
-        mu = np.concatenate([[1.0, 2.0**n], np.clip(interior, 1.0, 2.0**n)])
+        interior = np.exp2(rng.uniform(0.0, n, size=502))
+        mu = np.clip(interior, math.nextafter(1.0, 2.0), math.nextafter(2.0**n, 1.0))
         expected = [invert_mean_total(float(x), n) for x in mu]
-        assert invert_mean_totals(mu.reshape(2, -1), n).ravel().tolist() == expected
+        assert _bisect(mu.reshape(2, -1), n).ravel().tolist() == expected
 
     def test_array_estimates_follow_the_scalar_clamp(self):
         # Ct values below, inside and above the feasible range of one lane
@@ -172,6 +172,26 @@ class TestInvertMeanTotals:
         for got, mean_ct in zip(m_hats.ravel(), mean_cts.ravel()):
             est = estimate_offspring_mean([mean_ct], 0.0, 10**4, 10)
             assert got == pytest.approx(est.m_hat, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("mean_ct", [-13.0, -LOG2_X0 - 3.3], ids=["clamped", "interior"])
+    def test_zero_dimensional_estimate_equals_the_scalar_one(self, mean_ct):
+        got = estimate_offspring_means(np.float64(mean_ct), 0.0, 10**4, 10)
+        assert got.shape == ()
+        assert got == pytest.approx(
+            estimate_offspring_mean([mean_ct], 0.0, 10**4, 10).m_hat, rel=1e-12, abs=1e-12
+        )
+
+    def test_overflowing_log_total_clamps_like_the_scalar_estimate(self):
+        # a - log2(x0) - mean_ct overflows to inf: no warning, a clamp to m = 2
+        mean_ct, a = -1.7976931348623157e308, 9.9792015476736e291
+        got = estimate_offspring_means(np.array([mean_ct]), a, 1, 1)
+        assert got.tolist() == [estimate_offspring_mean([mean_ct], a, 1, 1).m_hat] == [2.0]
+
+    def test_nan_mean_ct_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            estimate_offspring_means(np.array([-LOG2_X0 - 3.3, math.nan]), 0.0, 10**4, 10)
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            estimate_offspring_means(np.array([math.inf]), math.inf, 10**4, 10)
 
 
 class TestEstimateOffspringMean:
@@ -273,6 +293,18 @@ class TestFitDoseResponse:
         with pytest.raises(SingularDesignError):
             fit_dose_response(ests, concentrations=[0.25, 0.5])
 
+    def test_exactly_flat_response_is_singular(self):
+        # m = 1 everywhere gives f = log(2/1 - 1) = 0 and a slope of exactly 0
+        ests = [MeanEstimate(c, 6.0, 1.0, clamped=False) for c in (0.25, 0.5, 1.0)]
+        with pytest.raises(SingularDesignError, match="flat"):
+            fit_dose_response(ests, concentrations=[0.25, 0.5, 1.0])
+
+    def test_underflowing_mic_is_singular(self):
+        # alpha 1e10, beta 1e-3: the MIC alpha ** (-1/beta) underflows to 0
+        grid = [1.0, 2.0, 4.0]
+        with pytest.raises(SingularDesignError):
+            fit_dose_response(estimates_from_curve(1e10, 1e-3, grid), concentrations=grid)
+
     def test_insufficient_data_names_exclusions(self):
         ests = [
             MeanEstimate(concentration=0.5, mu_hat=1.0, m_hat=0.0, clamped=True),
@@ -345,6 +377,11 @@ class TestFitDoseResponseRows:
         with pytest.raises(SingularDesignError):
             fit_dose_response(estimates)
         assert np.isnan(fit_dose_response_rows(np.array([[1.5, 0.5]]), grid)).all()
+
+    def test_underflowing_mic_fails_like_the_scalar_fit(self):
+        grid = (1.0, 2.0, 4.0)
+        m_hats = [e.m_hat for e in estimates_from_curve(1e10, 1e-3, grid)]
+        assert np.isnan(fit_dose_response_rows(np.array([m_hats]), grid)).all()
 
 
 class TestRegressionInputs:
@@ -458,6 +495,13 @@ class TestAsymptoticCovariance:
         with pytest.raises(InvalidParameterError):
             asymptotic_covariance(BAD_GRIDS[fault], GrowthParams(10, 1), 10, 0.2)
 
+    def test_underflowing_mic_is_singular(self):
+        # a MIC of 0 would give a zero MIC variance, ranked best by design-eval
+        with pytest.raises(SingularDesignError, match="covariance"):
+            _covariance_sums([1.0, 1.0, 1.0], [0.0, math.log(2.0), math.log(4.0)], 1e10, 1e-3)
+        with pytest.raises(SingularDesignError):
+            asymptotic_covariance([1.0, 2.0, 4.0], GrowthParams(1e10, 1e-3), 10, 0.2)
+
     def test_underflowed_mic_divisor_is_singular(self):
         # beta**2 * D**2 is 0.0 in double precision
         params = GrowthParams(1.0, 3.756399507857734e-234)
@@ -563,6 +607,13 @@ class TestNuisanceEstimators:
         with pytest.raises(InvalidParameterError, match="too large"):
             estimate_calibration([1e308, 1e308], 10**4)
 
+    def test_noise_sd_rejects_a_pooled_sum_that_overflows(self):
+        # each lane's sum of squares is finite; their pooled sum is not
+        lane = [7e153, -7e153]
+        assert estimate_noise_sd([lane]) == pytest.approx(math.sqrt(2) * 7e153)
+        with pytest.raises(InvalidParameterError, match="too large"):
+            estimate_noise_sd([lane, lane])
+
     def test_noise_sd_singletons_rejected(self):
         with pytest.raises(InsufficientDataError):
             estimate_noise_sd([[1.0], [2.0]])
@@ -603,6 +654,10 @@ class TestMic:
     def test_overflowing_mic_is_an_error(self, alpha, beta):
         with pytest.raises(InvalidParameterError, match="overflows"):
             mic(alpha, beta)
+
+    def test_underflowing_mic_is_an_error(self):
+        with pytest.raises(InvalidParameterError, match="underflows"):
+            mic(1e10, 1e-3)
 
 
 #: Any finite double, the domain of every float argument below.
@@ -649,11 +704,6 @@ class TestPublicEstimatorsAreFiniteOrRaise:
     @given(finite_floats, generation_counts)
     def test_invert_mean_total(self, mu, n):
         assert_finite_or_package_error(invert_mean_total, mu, n)
-
-    @given(st.lists(finite_floats, max_size=4), generation_counts)
-    @settings(max_examples=50)
-    def test_invert_mean_totals(self, mus, n):
-        assert_finite_or_package_error(invert_mean_totals, np.array(mus, dtype=float), n)
 
     @given(ct_lists, finite_floats, inocula, generation_counts)
     def test_estimate_offspring_mean(self, cts, a, x0, n):

@@ -59,6 +59,10 @@ class TestRunMcStudy:
         with pytest.raises(InvalidParameterError):
             run_mc_study(study_config(n_measurements=5), workers=0)
 
+    def test_fewer_than_two_measurements_are_invalid(self):
+        with pytest.raises(InvalidParameterError, match="n_measurements"):
+            study_config(n_measurements=1)
+
     def test_grid_is_validated(self):
         with pytest.raises(InvalidParameterError):
             study_config(grid=(2**-4, 2**-6))
@@ -215,6 +219,28 @@ class TestFitDataset:
         assert result.fit.beta_hat == pytest.approx(1.0, rel=1e-2)
         assert result.fit.mic_hat == pytest.approx(0.1, rel=1e-2)
 
+    def test_overflowing_covariance_is_null(self):
+        # the growth-suppressed lanes spread by 1e153 around their level: the
+        # calibration is exact, but the noise estimate of ~1.4e153 overflows
+        # the covariance, so the fit is reported without one
+        a, x0, spread = 20.0, 2**20, 1e153
+        observations = [CtObservation(2**-8, rep, a - 30.0) for rep in (1, 2)]
+        for c in (8.0, 16.0):
+            observations += [CtObservation(c, 1, spread), CtObservation(c, 2, -spread)]
+        interior = simulate_experiment(
+            GrowthParams(10.0, 1.0),
+            [2.0**k for k in range(-7, 0)],
+            MeasurementConfig(a=a, sigma_eps=0.0, x0=x0, n_generations=10, replicates=2),
+            spawn_rng(3),
+        )
+        dataset = CtDataset(tuple(observations) + interior.observations)
+        pipeline = PipelineConfig(high_c_threshold=8.0, low_c_choice=2**-8, x0=x0)
+        result = fit_dataset(dataset, pipeline)
+        assert result.a_hat == a and result.n_used == 10
+        assert result.sigma_eps_hat == pytest.approx(math.sqrt(2) * spread)
+        assert result.fit.mic_hat == pytest.approx(0.1, rel=1e-2)
+        assert result.covariance is None and result.to_dict()["covariance"] is None
+
     def test_single_seed_realistic_run(self):
         dataset = synthetic_dataset(seed=11)
         pipeline = PipelineConfig(high_c_threshold=2.0, low_c_choice=2**-7, x0=10_000)
@@ -366,3 +392,12 @@ class TestEmitCurve:
         grid = log_spaced_grid(0.01, 1.0, 10)
         assert grid[0] == pytest.approx(0.01) and grid[-1] == pytest.approx(1.0)
         assert len(grid) == 10
+
+    @pytest.mark.parametrize(
+        "low, high, points, message",
+        [(1.0, 0.5, 10, "low < high"), (0.0, 1.0, 10, "low < high"), (0.01, 1.0, 1, "points")],
+        ids=["reversed", "zero-low", "one-point"],
+    )
+    def test_log_spaced_grid_rejects_a_bad_span(self, low, high, points, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            log_spaced_grid(low, high, points)

@@ -42,6 +42,11 @@ def test_noise_sd_must_be_finite_and_non_negative(sigma_eps):
         noiseless_config(sigma_eps=sigma_eps)
 
 
+def test_replicates_below_one_are_invalid():
+    with pytest.raises(InvalidParameterError, match="replicates"):
+        noiseless_config(replicates=0)
+
+
 class TestSynthesizeCt:
     def test_noiseless_all_dead(self):
         ct = synthesize_ct(10**4, noiseless_config(), spawn_rng(0))
@@ -306,6 +311,15 @@ class TestCsvErrors:
     def test_missing_column(self):
         with pytest.raises(DatasetFormatError, match="ct"):
             read_dataset(io.StringIO("concentration,replicate\n0.25,1\n"))
+
+    def test_reordered_header(self):
+        with pytest.raises(DatasetFormatError, match="header must be exactly") as exc_info:
+            read_dataset(io.StringIO("replicate,concentration,ct\n1,0.25,-10.5\n"))
+        assert exc_info.value.line == 1
+
+    def test_source_that_is_neither_path_nor_stream(self):
+        with pytest.raises(InvalidParameterError, match="path or text stream"):
+            read_dataset(42)
 
     def test_duplicate_key_names_the_line(self):
         text = "concentration,replicate,ct\n0.25,1,-10.5\n0.25,1,-10.6\n"
