@@ -165,10 +165,21 @@ def mean_total_derivative(mean: float, n_generations: int) -> float:
     Evaluates ``(1/2) * sum_{j=1..n} j * m**(j-1)`` as a Horner-summed
     polynomial. The covariance formulas divide by this quantity, so it is
     computed analytically rather than by finite differences.
+
+    Raises:
+        InvalidParameterError: if the mean lies outside [0, 2], ``n`` outside
+            [1, 1023], or the slope overflows the floating-point range, as it
+            does near ``m = 2`` for ``n >= 1015``.
     """
     _check_mean(mean)
     _check_generations(n_generations, minimum=1)
-    return 0.5 * _horner(range(n_generations, 0, -1), mean)
+    slope = _growth_slope(mean, n_generations)
+    if not math.isfinite(slope):
+        raise InvalidParameterError(
+            f"the growth-curve slope at mean {mean!r} over {n_generations} generations "
+            "overflows the floating-point range"
+        )
+    return slope
 
 
 def mean_total_bounds(mean: float, n_generations: int) -> tuple[float, float]:
@@ -341,6 +352,11 @@ def _growth_curve(m, n_generations: int):
     # mean_total_from_mean without its checks, for callers that hold valid
     # values; float or array m
     return 0.5 * m * _horner(repeat(1.0, n_generations), m) + 1.0
+
+
+def _growth_slope(m: float, n_generations: int) -> float:
+    # mean_total_derivative without its checks; inf where the slope overflows
+    return 0.5 * _horner(range(n_generations, 0, -1), m)
 
 
 def _horner(coefficients: Iterable[float], x):

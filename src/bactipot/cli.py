@@ -10,28 +10,33 @@ Subcommands::
     curve        tabulated dose-response curve (CSV)
 
 Concentration grids accept ``2^k`` power notation, with an unsigned base,
-alongside plain decimals, e.g. ``--grid "2^-6,2^-4,2^-2"``. Every subcommand
-takes ``-o/--output``; only ``simulate``, ``synth`` and ``mc-study`` take
-``--seed`` (falling back to the BACTIPOT_SEED environment variable, then 0,
-and logged to stderr), only ``mc-study`` and ``design-eval`` take
-``--pretty``, and only ``fit`` and ``mc-study`` take ``--no-timestamp``.
+alongside plain decimals, e.g. ``--grid "2^-6,2^-4,2^-2"``; ``curve --range``
+takes two finite bounds. Every subcommand takes ``-o/--output``; only
+``simulate``, ``synth`` and ``mc-study`` take ``--seed`` (falling back to the
+BACTIPOT_SEED environment variable, then 0, and logged to stderr), only
+``mc-study`` and ``design-eval`` take ``--pretty``, and only ``fit`` and
+``mc-study`` take ``--no-timestamp``.
 
-Exit status: 0 on success, 1 on data errors, a closed stdout or running out
-of memory, 2 on usage errors.
+Each handler returns its whole output as text, and ``main`` alone writes it,
+to stdout or in one ``open`` of the ``-o`` file. So a run that fails writes
+nothing.
+
+Exit status: 0 on success, 1 on data errors, an ``-o`` path that cannot be
+written, a closed stdout or running out of memory, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import io
 import json
 import math
 import os
 import re
 import sys
 from datetime import datetime, timezone
-from typing import IO, Sequence
+from typing import Iterable, Sequence
 
 from .branching import (
     GrowthParams,
@@ -74,10 +79,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        status = args.handler(args)
-        # flush here, so a reader that closes late fails inside this try
-        sys.stdout.flush()
-        return status
+        text = args.handler(args)
+        if args.output == "-":
+            # in pieces: an unbuffered stdout (python -u) drops the rest of a
+            # short write to a pipe whose reader left, and only the next write
+            # fails with BrokenPipeError
+            for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+                sys.stdout.write(text[start : start + io.DEFAULT_BUFFER_SIZE])
+            # flush here, so a reader that closes late fails inside this try
+            sys.stdout.flush()
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as out:
+                out.write(text)
+        return 0
     except BrokenPipeError:
         # the reader of stdout is gone; point stdout at devnull so the flush
         # at interpreter exit cannot fail again (Python docs, "Note on SIGPIPE")
@@ -85,9 +99,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except UsageError as exc:
         print(f"bactipot: usage error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"bactipot: usage error: --input file not found: {exc.filename}", file=sys.stderr)
         return 2
     except (BactipotError, OSError) as exc:
         print(f"bactipot: error: {exc}", file=sys.stderr)
@@ -205,13 +216,11 @@ def _add_common(p: argparse.ArgumentParser, *, seed=False, pretty=False, timesta
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> str:
     dist = _offspring_from_args(args)
     if args.reps < 1:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
-    seed = _effective_seed(args)
-    _log_seed(seed)
-    # simulate first, so a run that fails leaves no partial output file
+    seed = _seed(args)
     if args.reps == 1:
         index, start = "generation", 0
         alive, dead = simulate(args.x0, dist, args.gens, spawn_rng(seed, 0))
@@ -222,21 +231,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         [i, a, d, a + d]
         for i, (a, d) in enumerate(zip(alive.tolist(), dead.tolist()), start=start)
     ]
-    with _out_stream(args.output) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([index, "alive", "dead", "total"])
-        writer.writerows(rows)
-    return 0
+    return _csv([index, "alive", "dead", "total"], rows)
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _cmd_synth(args: argparse.Namespace) -> str:
     grid = _parse_grid(args.grid, "--grid")
     sentinel = None
     if args.untreated_lane is not None:
         sentinel = _parse_number(args.untreated_lane, "--untreated-lane")
         _check_grid([sentinel, *grid], "--untreated-lane")
-    seed = _effective_seed(args)
-    _log_seed(seed)
+    seed = _seed(args)
     dataset = simulate_experiment(
         GrowthParams(args.alpha, args.beta),
         grid,
@@ -244,12 +248,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         spawn_rng(seed),
         untreated_lane=sentinel,
     )
-    with _out_stream(args.output) as out:
-        write_dataset(dataset, out)
-    return 0
+    out = io.StringIO()
+    write_dataset(dataset, out)
+    return out.getvalue()
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace) -> str:
     fit_c = None
     if args.fit_c != "auto":
         fit_c = tuple(_parse_grid(args.fit_c, "--fit-c"))
@@ -259,21 +263,17 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         x0=args.x0,
         fit_concentrations=fit_c,
     )
-    if args.input == "-":
-        dataset = read_dataset(sys.stdin)
-    else:
-        dataset = read_dataset(args.input)
+    try:
+        dataset = read_dataset(sys.stdin if args.input == "-" else args.input)
+    except FileNotFoundError as exc:
+        raise UsageError(f"--input file not found: {exc.filename}") from None
     result = fit_dataset(dataset, pipeline)
-    payload = {"meta": _meta(args, seed=None), **result.to_dict()}
-    with _out_stream(args.output) as out:
-        _write_json(payload, out)
-    return 0
+    return _json({"meta": _meta(args, seed=None), **result.to_dict()})
 
 
-def _cmd_mc_study(args: argparse.Namespace) -> int:
+def _cmd_mc_study(args: argparse.Namespace) -> str:
     grid = _parse_grid(args.grid, "--grid")
-    seed = _effective_seed(args)
-    _log_seed(seed)
+    seed = _seed(args)
     if args.threads is not None and args.threads < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
     config = McStudyConfig(
@@ -284,15 +284,12 @@ def _cmd_mc_study(args: argparse.Namespace) -> int:
         seed=seed,
     )
     report = run_mc_study(config)
-    with _out_stream(args.output) as out:
-        if args.pretty:
-            _print_mc_table(report, out)
-        else:
-            _write_json({"meta": _meta(args, seed=seed), **report.to_dict()}, out)
-    return 0
+    if args.pretty:
+        return _mc_table(report)
+    return _json({"meta": _meta(args, seed=seed), **report.to_dict()})
 
 
-def _cmd_design_eval(args: argparse.Namespace) -> int:
+def _cmd_design_eval(args: argparse.Namespace) -> str:
     designs = []
     for chunk in args.designs:
         for item in chunk.split(";"):
@@ -303,46 +300,21 @@ def _cmd_design_eval(args: argparse.Namespace) -> int:
     rows = evaluate_designs(
         designs, GrowthParams(args.alpha, args.beta), args.gens, args.sigma_eps
     )
-    with _out_stream(args.output) as out:
-        if args.pretty:
-            _print_design_table(rows, out)
-            return 0
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["design", "sigma2_alpha", "sigma_alphabeta", "sigma2_beta", "sigma2_theta", "status"]
-        )
-        for row in rows:
-            design_text = " ".join(repr(c) for c in row.design)
-            if row.singular:
-                writer.writerow([design_text, "", "", "", "", "singular"])
-            else:
-                cov = row.covariance
-                writer.writerow(
-                    [
-                        design_text,
-                        repr(cov.sigma2_alpha),
-                        repr(cov.sigma_alphabeta),
-                        repr(cov.sigma2_beta),
-                        repr(cov.sigma2_theta),
-                        "best" if row.best else "ok",
-                    ]
-                )
-    return 0
+    if args.pretty:
+        header = ("design", "s2_alpha", "s_alphabeta", "s2_beta", "s2_theta", "status")
+        return _table([header, *_design_cells(rows, _sig3, ", ", "-", "")])
+    header = ("design", "sigma2_alpha", "sigma_alphabeta", "sigma2_beta", "sigma2_theta", "status")
+    return _csv(header, _design_cells(rows, repr, " ", "", "ok"))
 
 
-def _cmd_curve(args: argparse.Namespace) -> int:
+def _cmd_curve(args: argparse.Namespace) -> str:
     low, high = _parse_range(args.range, "--range")
     if args.points < 2:
         raise UsageError(f"--points must be >= 2, got {args.points}")
     rows = emit_curve(
         GrowthParams(args.alpha, args.beta), log_spaced_grid(low, high, args.points)
     )
-    with _out_stream(args.output) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["concentration", "offspring_mean"])
-        for c, m in rows:
-            writer.writerow([repr(c), repr(m)])
-    return 0
+    return _csv(["concentration", "offspring_mean"], [[repr(c), repr(m)] for c, m in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +344,17 @@ def _measurement_config(args: argparse.Namespace) -> MeasurementConfig:
     )
 
 
-def _effective_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("BACTIPOT_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"BACTIPOT_SEED must be an integer, got {raw!r}") from None
-
-
-def _log_seed(seed: int) -> None:
+def _seed(args: argparse.Namespace) -> int:
+    # --seed, else BACTIPOT_SEED, else 0; logged, so every seeded run can be repeated
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get("BACTIPOT_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise UsageError(f"BACTIPOT_SEED must be an integer, got {raw!r}") from None
     print(f"bactipot: seed={seed}", file=sys.stderr)
+    return seed
 
 
 def _meta(args: argparse.Namespace, seed: int | None) -> dict:
@@ -430,19 +399,14 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     high = _parse_number(parts[1], flag)
     if not (0.0 < low < high):
         raise UsageError(f"{flag}: need 0 < LOW < HIGH, got {text!r}")
+    if high == math.inf:
+        raise UsageError(f"{flag}: HIGH must be finite, got {text!r}")
     return low, high
 
 
-def _out_stream(target: str) -> contextlib.AbstractContextManager[IO[str]]:
-    # stdout is not ours to close
-    if target == "-":
-        return contextlib.nullcontext(sys.stdout)
-    return open(target, "w", encoding="utf-8", newline="")
-
-
-def _write_json(payload: dict, out: IO[str]) -> None:
-    """Write ``payload`` as strict JSON: NaN and infinities become null."""
-    out.write(json.dumps(_finite_or_null(payload), indent=2, allow_nan=False) + "\n")
+def _json(payload: dict) -> str:
+    """``payload`` as strict JSON: NaN and infinities become null."""
+    return json.dumps(_finite_or_null(payload), indent=2, allow_nan=False) + "\n"
 
 
 def _finite_or_null(value):
@@ -462,35 +426,37 @@ def _sig3(value: float) -> str:
     return f"{value:.3g}"
 
 
-def _write_table(rows: Sequence[Sequence[str]], out: IO[str]) -> None:
-    """Write rows of cells as left-aligned columns two spaces apart."""
+def _csv(header: Sequence, rows: Iterable[Sequence]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _table(rows: Sequence[Sequence[str]]) -> str:
+    """Rows of cells as left-aligned columns two spaces apart."""
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    for r in rows:
-        out.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n" for r in rows
+    )
 
 
-def _print_design_table(rows, out: IO[str]) -> None:
-    table = [("design", "s2_alpha", "s_alphabeta", "s2_beta", "s2_theta", "status")]
+def _design_cells(rows, number, sep: str, blank: str, ok: str):
+    # one row of cells per design, for both the CSV and the --pretty table
     for row in rows:
-        design_text = ", ".join(_sig3(c) for c in row.design)
+        design = sep.join(number(c) for c in row.design)
         if row.singular:
-            table.append((design_text, "-", "-", "-", "-", "singular"))
+            yield (design, blank, blank, blank, blank, "singular")
         else:
             cov = row.covariance
-            table.append(
-                (
-                    design_text,
-                    _sig3(cov.sigma2_alpha),
-                    _sig3(cov.sigma_alphabeta),
-                    _sig3(cov.sigma2_beta),
-                    _sig3(cov.sigma2_theta),
-                    "best" if row.best else "",
-                )
+            variances = (
+                cov.sigma2_alpha, cov.sigma_alphabeta, cov.sigma2_beta, cov.sigma2_theta
             )
-    _write_table(table, out)
+            yield (design, *map(number, variances), "best" if row.best else ok)
 
 
-def _print_mc_table(report, out: IO[str]) -> None:
+def _mc_table(report) -> str:
     theory = report.theoretical
     rows = [
         ("", "mean", "emp var (scaled)", "asymptotic"),
@@ -499,8 +465,8 @@ def _print_mc_table(report, out: IO[str]) -> None:
         ("mic", _sig3(report.mean_theta), _sig3(report.emp_var_theta), _sig3(theory.sigma2_theta)),
         ("alpha-beta cov", "", _sig3(report.emp_cov_alphabeta), _sig3(theory.sigma_alphabeta)),
     ]
-    _write_table(rows, out)
-    out.write(f"measurements: {report.n_measurements}  failures: {report.failures}\n")
+    footer = f"measurements: {report.n_measurements}  failures: {report.failures}\n"
+    return _table(rows) + footer
 
 
 if __name__ == "__main__":

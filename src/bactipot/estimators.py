@@ -32,8 +32,8 @@ from .branching import (
     _check_generations,
     _check_x0,
     _growth_curve,
+    _growth_slope,
     mean_from_concentration,
-    mean_total_derivative,
 )
 from .errors import InsufficientDataError, InvalidParameterError, SingularDesignError
 from .measurement import check_grid, check_sigma_eps, same_concentration
@@ -403,7 +403,7 @@ def k_factor(
             f"offspring mean {m} at concentration {concentration} is on the boundary"
         )
     gain = sigma_eps * _growth_curve(m, n_generations) * _LOG2
-    slope = mean_total_derivative(m, n_generations)
+    slope = _growth_slope(m, n_generations)
     k = -2.0 / (m * (2.0 - m)) * gain / slope
     # an overflowed slope would silently turn the gain into zero
     if not (math.isfinite(slope) and math.isfinite(k)):
@@ -436,8 +436,9 @@ def asymptotic_covariance(
     Raises:
         InvalidParameterError: if the concentrations, sorted, are not a grid
             that ``measurement.check_grid`` accepts.
-        SingularDesignError: if a lane is on the boundary or an entry
-            overflows the floating-point range.
+        SingularDesignError: if a lane is on the boundary, an entry
+            overflows the floating-point range, or the MIC variance underflows
+            to 0 while its sum is positive.
     """
     cs = sorted(concentrations)
     check_grid(cs)
@@ -478,14 +479,16 @@ def _covariance_sums(
         s2b = math.fsum(k * k * b * b for k, b in zip(ks, b_terms)) / d2
         theta = alpha ** (-1.0 / beta)
         ratio = math.log(alpha) / beta
-        s2t = (
-            theta**2
-            / (beta**2 * d2)
-            * math.fsum(k * k * (a - ratio * b) ** 2 for k, a, b in zip(ks, a_terms, b_terms))
-        )
+        t_sum = math.fsum(k * k * (a - ratio * b) ** 2 for k, a, b in zip(ks, a_terms, b_terms))
+        s2t = theta**2 / (beta**2 * d2) * t_sum
         sums = (s2a, sab, s2b, s2t)
-        # a MIC that underflowed to 0 would report a zero MIC variance
-        finite = theta > 0.0 and all(math.isfinite(v) for v in sums)
+        # a MIC, or a MIC variance, that underflowed to 0 would rank a design
+        # by a variance of exactly 0
+        finite = (
+            theta > 0.0
+            and (s2t > 0.0 or t_sum == 0.0)
+            and all(math.isfinite(v) for v in sums)
+        )
     # ValueError: fsum of opposite infinities; ZeroDivisionError: beta**2 * D**2
     # underflowed to 0
     except (OverflowError, ValueError, ZeroDivisionError):

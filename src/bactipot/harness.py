@@ -435,8 +435,8 @@ def emit_curve(params: GrowthParams, concentrations: Sequence[float]) -> list[tu
 
 def log_spaced_grid(low: float, high: float, points: int = 200) -> list[float]:
     """Logarithmically spaced concentrations spanning [low, high]."""
-    if not (0.0 < low < high):
-        raise InvalidParameterError(f"need 0 < low < high, got ({low!r}, {high!r})")
+    if not (0.0 < low < high < math.inf):
+        raise InvalidParameterError(f"need 0 < low < high < inf, got ({low!r}, {high!r})")
     if points < 2:
         raise InvalidParameterError(f"points must be >= 2, got {points!r}")
     import numpy as np

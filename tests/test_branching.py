@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bactipot import (
@@ -212,6 +212,12 @@ class TestMeanTotalDerivative:
         fd = (mean_total_from_mean(m + h, n) - mean_total_from_mean(m - h, n)) / (2 * h)
         assert mean_total_derivative(m, n) == pytest.approx(fd, rel=1e-6)
 
+    @pytest.mark.parametrize("m, n", [(2.0, 1023), (1.999, 1015)])
+    def test_overflowing_slope_is_invalid(self, m, n):
+        # 2.0**1023 is finite, but the slope sums j * m**(j-1) up to j = n
+        with pytest.raises(InvalidParameterError, match="slope .* overflows"):
+            mean_total_derivative(m, n)
+
 
 class TestMeanTotalBounds:
     @pytest.mark.parametrize(
@@ -291,10 +297,6 @@ class TestClosedFormsAreFiniteOrRaise:
     """Each exported closed form returns finite numbers or raises a
     ``BactipotError``, for any generation count; never a raw
     ``OverflowError`` or an ``inf``.
-
-    ``mean_total_derivative`` is left out: near m = 2 it is ``inf`` for
-    n >= 1015, which ``k_factor`` reports as singular
-    (``TestKFactor::test_overflowing_gain_is_singular``).
     """
 
     @given(st.one_of(offspring_distributions(), means.map(dist_from_mean)), any_generations)
@@ -311,6 +313,12 @@ class TestClosedFormsAreFiniteOrRaise:
     @settings(max_examples=750)
     def test_mean_total_bounds(self, m, n):
         assert_finite_or_package_error(mean_total_bounds, m, n)
+
+    @given(any_means, any_generations)
+    @example(2.0, 1023)
+    @settings(max_examples=750)
+    def test_mean_total_derivative(self, m, n):
+        assert_finite_or_package_error(mean_total_derivative, m, n)
 
     @given(offspring_distributions())
     @settings(max_examples=750)
@@ -436,11 +444,12 @@ class TestInoculumRange:
 
 
 #: Every layer that takes a generation count, with the least count it accepts.
-#: The closed forms run at m = 2, where 2.0**1024 would overflow.
+#: The closed forms run at m = 2, where 2.0**1024 would overflow. The slope
+#: runs at m = 1.5: at m = 2 it overflows from n = 1015 on.
 GENERATION_COUNT_USERS = {
     "mean_total": (0, lambda n: mean_total(dist_from_mean(2.0), n)),
     "mean_total_from_mean": (0, lambda n: mean_total_from_mean(2.0, n)),
-    "mean_total_derivative": (1, lambda n: mean_total_derivative(2.0, n)),
+    "mean_total_derivative": (1, lambda n: mean_total_derivative(1.5, n)),
     "mean_total_bounds": (1, lambda n: mean_total_bounds(2.0, n)),
     "advance": (0, lambda n: advance(np.ones(2), np.zeros(2), 0.5, 0.0, 0.5, n, spawn_rng(0))),
     "simulate": (0, lambda n: simulate(1, dist_from_mean(0.5), n, spawn_rng(0))),

@@ -1,6 +1,8 @@
 """Command-line interface: parsing, outputs, exit codes, determinism."""
 
+import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -8,10 +10,12 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from bactipot import MAX_COUNT, dist_from_mean, simulate_batch, spawn_rng
@@ -460,6 +464,16 @@ class TestDesignEval:
         assert status == 0 and "nan" not in out
         assert [r[5] for r in rows[1:]] == ["best", "singular"]
 
+    def test_underflowing_mic_variance_is_singular_not_best(self, run):
+        # the MIC 1e-200 is a float, but the MIC variance underflows to 0 on
+        # both designs, which would rank the worse one best
+        status, out, _ = run(
+            "design-eval", "--alpha", "1e10", "--beta", "0.05", "--gens", "10",
+            "--designs", "5e-201,1e-200,2e-200;1e-220,1e-200,1e-180",
+        )
+        assert status == 0
+        assert [r[5] for r in parse_csv(out)[1:]] == ["singular", "singular"]
+
     def test_malformed_grid_is_usage_error(self, run):
         status, _, err = run(
             "design-eval", "--alpha", "10", "--beta", "1", "--designs", "2^-6,banana"
@@ -484,6 +498,14 @@ class TestCurve:
     def test_bad_range_is_usage_error(self, run):
         status, _, err = run("curve", "--alpha", "10", "--beta", "1", "--range", "1:0.5")
         assert status == 2 and "--range" in err
+
+    @pytest.mark.parametrize("span", ["0.5:inf", "2^-9:1e400", "0.5:nan", "nan:1"])
+    def test_range_bounds_must_be_finite(self, run, span):
+        status, out, err = run(
+            "curve", "--alpha", "10", "--beta", "1", "--range", span, "--points", "3"
+        )
+        assert status == 2 and out == ""
+        assert err.startswith("bactipot: usage error: --range: ") and len(err.splitlines()) == 1
 
     def test_range_without_a_colon_is_usage_error(self, run):
         status, out, err = run("curve", "--alpha", "10", "--beta", "1", "--range", "1")
@@ -606,6 +628,110 @@ def test_any_grid_text_is_a_valid_grid_or_a_usage_error(text):
     check_grid(grid)
 
 
+#: Every flag of each subcommand, besides -o.
+SUBCOMMAND_FLAGS = {
+    "simulate": ("--m", "--p0", "--p1", "--p2", "--x0", "--gens", "--reps", "--seed"),
+    "synth": ("--alpha", "--beta", "--grid", "--a", "--sigma-eps", "--x0", "--gens", "--reps",
+              "--untreated-lane", "--seed"),
+    "fit": ("--input", "--high-c", "--low-c", "--fit-c", "--x0", "--no-timestamp"),
+    "mc-study": ("--alpha", "--beta", "--grid", "--sigma-eps", "--x0", "--gens", "--reps",
+                 "--measurements", "--threads", "--seed", "--pretty", "--no-timestamp"),
+    "design-eval": ("--alpha", "--beta", "--gens", "--sigma-eps", "--designs", "--pretty"),
+    "curve": ("--alpha", "--beta", "--range", "--points"),
+}
+SWITCHES = {"--pretty", "--no-timestamp"}
+#: The -o value that stands for a path in a fresh temporary directory.
+OUT = "OUT"
+
+extremes = ["nan", "inf", "-inf", "1e400", "-1", "0", "1023", "1024", "2^-4", "banana", ""]
+#: Values of the float flags, which take no 2^k, and of the concentration flags, which do.
+numbers = st.one_of(st.sampled_from(["0.05", "0.5", "1", "2", "10"]), st.sampled_from(extremes))
+concentrations = st.one_of(
+    st.sampled_from(["2^-7", "2^-4", "2^0", "2^4", "0.5", "10"]), st.sampled_from(extremes)
+)
+#: Kept small, so that no drawn run allocates or loops for long.
+counts = st.sampled_from(["1", "2", "3", "50", "0", "-1", "nan", "2^3", "x"])
+integers = st.one_of(
+    st.sampled_from(["1", "2", "10", "1023", "10000"]),
+    st.sampled_from(["0", "-1", "1024", str(2**62), str(2**70), "2^3", "nan", "x"]),
+)
+grids = st.lists(concentrations, min_size=1, max_size=4).map(",".join)
+FLAG_VALUES = {
+    **dict.fromkeys(
+        ("--m", "--p0", "--p1", "--p2", "--alpha", "--beta", "--a", "--sigma-eps", "--bogus"),
+        numbers,
+    ),
+    **dict.fromkeys(("--high-c", "--low-c", "--untreated-lane"), concentrations),
+    **dict.fromkeys(("--x0", "--gens", "--seed", "--threads"), integers),
+    **dict.fromkeys(("--reps", "--measurements", "--points"), counts),
+    "--grid": grids,
+    "--fit-c": st.one_of(st.just("auto"), grids),
+    "--designs": st.lists(grids, min_size=1, max_size=2).map(";".join),
+    "--range": st.lists(concentrations, min_size=1, max_size=2).map(":".join),
+    "--input": st.sampled_from(["-", "/nonexistent/plate.csv"]),
+    "-o": st.sampled_from(["-", OUT]),
+}
+
+
+#: Flags that make a run of each subcommand succeed, for the drawn flags to vary.
+VALID_ARGS = {
+    **TestFlags.VALID,
+    "mc-study": ("--alpha", "10", "--beta", "1", "--grid", "2^-6,2^-4,2^-2"),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, mostly its valid flags, then flags drawn from its own and
+    now and then a foreign one."""
+    subcommand = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    argv = [subcommand]
+    if draw(st.integers(0, 3)) > 0:
+        argv += VALID_ARGS[subcommand]
+    if subcommand == "mc-study":
+        argv += ["--measurements", draw(counts)]
+    flags = draw(st.lists(st.sampled_from(SUBCOMMAND_FLAGS[subcommand] + ("-o",)), max_size=5))
+    if draw(st.integers(0, 3)) == 0:
+        flags.append(draw(st.sampled_from(sorted(FLAG_VALUES))))
+    for flag in flags:
+        argv.append(flag)
+        if flag not in SWITCHES:
+            argv.append(draw(FLAG_VALUES[flag]))
+    return argv
+
+
+@functools.cache
+def plate_text():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        main(["synth", "--alpha", "10", "--beta", "1", "--a", "20", "--seed", "1",
+              "--grid", "2^-7,2^-6,2^-5,2^-4,2^-3,2^-2,2^-1,1,2,4,8,16"])
+    return out.getvalue()
+
+
+@given(argvs(), st.sampled_from(["plate", "junk\n", ""]))
+@settings(max_examples=250, deadline=None)
+def test_any_argv_exits_0_1_or_2_and_a_failed_run_writes_nothing(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("BACTIPOT_SEED", None)
+        target = os.path.join(tmp, "out.txt")
+        argv = [target if a == OUT else a for a in argv]
+        text = plate_text() if stdin == "plate" else stdin
+        with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            status = main(argv)
+        written = os.path.exists(target)
+    event(f"{argv[0]} exit {status}")
+    assert status in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if status != 0:
+        assert out.getvalue() == "" and not written
+        return
+    # the last -o wins
+    to_file = [v for flag, v in zip(argv, argv[1:]) if flag == "-o"][-1:] == [target]
+    assert written == to_file and (out.getvalue() == "") == to_file
+
+
 class TestClosedPipe:
     @pytest.mark.parametrize(
         "points, lines_read",
@@ -617,6 +743,15 @@ class TestClosedPipe:
     def test_closed_stdout_exits_one_quietly(self, points, lines_read):
         env = cli_env()
         env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered by default
+        assert self.closed_run(env, points, lines_read) == (1, b"")
+
+    def test_closed_unbuffered_stdout_exits_one_quietly(self):
+        # unbuffered, one write of the whole output would end short without an error
+        assert self.closed_run({**cli_env(), "PYTHONUNBUFFERED": "1"}, 100_000, 1) == (1, b"")
+
+    @staticmethod
+    def closed_run(env, points, lines_read):
+        """(exit status, stderr) of a ``curve`` whose reader closes stdout early."""
         proc = subprocess.Popen(
             [sys.executable, "-m", "bactipot.cli", "curve", "--alpha", "10", "--beta", "1",
              "--range", "2^-9:1", "--points", str(points)],
@@ -628,7 +763,7 @@ class TestClosedPipe:
             proc.stdout.readline()
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
-        assert proc.returncode == 1 and err == b""
+        return proc.returncode, err
 
 
 def test_readme_cli_examples_run(tmp_path):
@@ -740,6 +875,23 @@ class TestSeedsAndErrors:
         )
         assert status == 0 and out == ""
         assert target.read_text().startswith("concentration,offspring_mean")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("curve", "--alpha", "10", "--beta", "1", "--range", "1:2", "--points", "2"),
+            ("design-eval", "--alpha", "10", "--beta", "1", "--designs", "1,2,4"),
+        ],
+        ids=["curve", "design-eval"],
+    )
+    def test_output_in_a_missing_directory_is_data_error(self, run, tmp_path, args):
+        # the -o path is at fault, not a --input these subcommands lack
+        target = tmp_path / "no" / "such" / "out.csv"
+        status, out, err = run(*args, "-o", str(target))
+        assert status == 1 and out == ""
+        assert err.startswith("bactipot: error: ") and len(err.splitlines()) == 1
+        assert str(target) in err and "--input" not in err
+        assert not target.parent.exists()
 
     def test_overflow_is_data_error(self, run):
         status, _, err = run(

@@ -502,6 +502,14 @@ class TestAsymptoticCovariance:
         with pytest.raises(SingularDesignError):
             asymptotic_covariance([1.0, 2.0, 4.0], GrowthParams(1e10, 1e-3), 10, 0.2)
 
+    def test_underflowing_mic_variance_is_singular(self):
+        # the MIC 1e-200 is a float, but theta**2 underflows to 0, so each
+        # design would get a MIC variance of exactly 0 and tie for best
+        params = GrowthParams(1e10, 0.05)
+        for design in ([5e-201, 1e-200, 2e-200], [1e-220, 1e-200, 1e-180]):
+            with pytest.raises(SingularDesignError, match="covariance"):
+                asymptotic_covariance(design, params, 10, 0.2)
+
     def test_underflowed_mic_divisor_is_singular(self):
         # beta**2 * D**2 is 0.0 in double precision
         params = GrowthParams(1.0, 3.756399507857734e-234)

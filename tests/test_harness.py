@@ -395,8 +395,14 @@ class TestEmitCurve:
 
     @pytest.mark.parametrize(
         "low, high, points, message",
-        [(1.0, 0.5, 10, "low < high"), (0.0, 1.0, 10, "low < high"), (0.01, 1.0, 1, "points")],
-        ids=["reversed", "zero-low", "one-point"],
+        [
+            (1.0, 0.5, 10, "low < high"),
+            (0.0, 1.0, 10, "low < high"),
+            (0.5, math.inf, 3, "high < inf"),
+            (math.nan, 1.0, 10, "low < high"),
+            (0.01, 1.0, 1, "points"),
+        ],
+        ids=["reversed", "zero-low", "infinite-high", "nan-low", "one-point"],
     )
     def test_log_spaced_grid_rejects_a_bad_span(self, low, high, points, message):
         with pytest.raises(InvalidParameterError, match=message):
