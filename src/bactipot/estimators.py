@@ -50,9 +50,10 @@ _LOG2 = math.log(2.0)
 DEFAULT_M_BAND = (0.05, 1.95)
 
 # Halvings of [0, 2] that leave a bracket of 2**-40 < 1e-12 around the mean,
-# and the half-widths of the brackets they halve.
+# and the half-widths of the brackets they halve, down to 2**-40.
 _BISECTION_STEPS = 41
 _HALF_WIDTHS = tuple(2.0**-k for k in range(_BISECTION_STEPS))
+_LATTICE = _HALF_WIDTHS[-1]
 
 _CT_OVERFLOW = "Ct values are too large: their sums overflow the floating-point range"
 
@@ -161,8 +162,13 @@ def invert_mean_total(mu: float, n_generations: int) -> float:
     """Offspring mean whose death-or-divide growth curve reaches ``mu``.
 
     Inverts ``mean_total_from_mean(., n)``, which maps [0, 2] strictly
-    increasingly onto [1, 2**n], by 41 halvings of [0, 2]: the result is the
-    midpoint of a final bracket 2**-40 (under 1e-12) wide. Exact at both
+    increasingly onto [1, 2**n], to what 41 halvings of [0, 2] give: the
+    midpoint of the final bracket, two neighbouring multiples of 2**-40
+    (under 1e-12 apart). Newton steps guess the root, and the halvings run
+    only if the multiples of 2**-40 either side of the guess fail to bracket
+    ``mu``. The growth curve, a Horner sum with positive coefficients, is
+    non-decreasing in floating point too, so one bracket alone passes: the
+    halvings' own, and the result is theirs bit for bit. Exact at both
     endpoints.
 
     Raises:
@@ -180,7 +186,8 @@ def invert_mean_total(mu: float, n_generations: int) -> float:
         return 0.0
     if mu == upper:
         return 2.0
-    return _bisect(mu, n_generations)
+    m_hat, hit = _check_guess(_guess(mu, n_generations, math), mu, n_generations)
+    return m_hat if hit else _bisect(mu, n_generations)
 
 
 def _bisect(mu, n_generations: int):
@@ -193,6 +200,36 @@ def _bisect(mu, n_generations: int):
     return lo + 2.0**-_BISECTION_STEPS
 
 
+def _guess(mu, n: int, xp):
+    # Newton steps from above, float or array mu, xp math or numpy; 9 reach
+    # the root for every n tried. In u = log m, phi(u) = log(2 (G(e**u) - 1))
+    # = u + log(expm1(n u) / expm1(u)) is convex and increasing, and e**u starts
+    # at min(2 (mu - 1), mu**(1/n)), above the root as G(m) >= 1 + m/2 and
+    # G(m) >= m**n. Phi is 0/0 at u = 0, so near it phi is extended linearly.
+    t = xp.log(mu - 1.0) + _LOG2  # 2 (mu - 1) overflows for mu = 2**1023
+    u = xp.log(mu) / n
+    u = min(t, u) if xp is math else xp.minimum(t, u)
+    d = 1e-9 / n
+    for _ in range(10):
+        shift = (abs(u) < d) * (d - u)
+        v = u + shift
+        a, b = xp.expm1(n * v), xp.expm1(v)
+        step = (v + xp.log(a / b) - t) / (n + n / a - 1 / b) - shift
+        u = u - step
+        if xp is math and abs(step) < 1e-9:  # an array takes every step
+            break
+    return xp.exp(u)
+
+
+def _check_guess(guess, mu, n: int):
+    # (_bisect's result, True) if the multiples of 2**-40 either side of the
+    # guess bracket mu; float or array guess >= 0, and a NaN one or one above 2 fails
+    x = (guess / _LATTICE + 0.5) // 1.0 * _LATTICE
+    below = _growth_curve(x, n) < mu
+    hit = below ^ (_growth_curve(x + _LATTICE * (2 * below - 1), n) < mu)
+    return x + _LATTICE * (below - 0.5), hit
+
+
 def estimate_offspring_means(
     mean_cts: np.ndarray, a: float, x0: int, n_generations: int
 ) -> np.ndarray:
@@ -200,8 +237,9 @@ def estimate_offspring_means(
 
     The array form of ``estimate_offspring_mean``: each element's
     ``a - log2(x0) - mean_ct`` is clamped into [0, n] in log space, and the
-    total-count estimate ``2 ** (...)`` goes through the bisection loop of
-    ``invert_mean_total``, which applies the scalar steps elementwise.
+    total-count estimate ``2 ** (...)`` is inverted as ``invert_mean_total``
+    inverts it, by a guess, the bracket check as a mask, and the halvings
+    for the elements that miss. Each element gets the scalar result's bits.
 
     Raises:
         InvalidParameterError: if that log-total is NaN for some element.
@@ -215,7 +253,19 @@ def estimate_offspring_means(
         raise InvalidParameterError("a - log2(x0) - mean_ct is NaN for some lane")
     upper = 2.0**n_generations
     mu = np.clip(np.power(2.0, np.clip(log2_mu, 0.0, n_generations)), 1.0, upper)
-    return np.where(mu == 1.0, 0.0, np.where(mu == upper, 2.0, _bisect(mu, n_generations)))
+    return np.where(mu == 1.0, 0.0, np.where(mu == upper, 2.0, _invert_totals(mu, n_generations)))
+
+
+def _invert_totals(mu: np.ndarray, n_generations: int) -> np.ndarray:
+    # invert_mean_total's guess, check and halvings over an array of totals,
+    # bit for bit inside (1, 2**n); a total of 1 has a NaN guess
+    import numpy as np
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_hat, hit = _check_guess(_guess(mu, n_generations, np), mu, n_generations)
+    if not hit.all():
+        m_hat = np.asarray(m_hat)  # writable, also for a 0-d total
+        m_hat[~hit] = _bisect(mu[~hit], n_generations)
+    return m_hat
 
 
 def estimate_offspring_mean(

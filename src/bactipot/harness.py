@@ -253,6 +253,9 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers!r}")
     m = config.measurement
+    # both raise for a design the floating-point range cannot hold, so before any block runs
+    true_theta = mic(config.params.alpha, config.params.beta)
+    theoretical = asymptotic_covariance(config.grid, config.params, m.n_generations, m.sigma_eps)
     means = [mean_from_concentration(config.params, c) for c in config.grid]
     total = config.n_measurements
     results = np.empty((total, 3))
@@ -270,10 +273,7 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
     root_n = math.sqrt(m.replicates)
     scaled_a = root_n * (alphas - config.params.alpha)
     scaled_b = root_n * (betas - config.params.beta)
-    true_theta = mic(config.params.alpha, config.params.beta)
     scaled_t = root_n * (thetas - true_theta)
-
-    theoretical = asymptotic_covariance(config.grid, config.params, m.n_generations, m.sigma_eps)
     return McStudyReport(
         mean_alpha=_mean(alphas),
         mean_beta=_mean(betas),

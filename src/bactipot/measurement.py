@@ -115,9 +115,8 @@ class CtObservation(NamedTuple):
     ct: float
 
 
-def _check_observation(obs: CtObservation, seen: set, line: int | None = None) -> None:
-    # the row rules, and the pair rule against ``seen``, which gains the pair;
-    # a file's reader passes ``line`` to get a DatasetFormatError naming it
+def _check_observation(obs: CtObservation, seen: set) -> None:
+    # the row rules, and the pair rule against ``seen``, which gains the pair
     concentration, replicate, ct = obs
     key = (concentration, replicate)
     if not 0.0 < concentration < math.inf:
@@ -131,7 +130,7 @@ def _check_observation(obs: CtObservation, seen: set, line: int | None = None) -
     else:
         seen.add(key)
         return
-    raise InvalidParameterError(problem) if line is None else DatasetFormatError(problem, line)
+    raise InvalidParameterError(problem)
 
 
 @dataclass(frozen=True)
@@ -149,17 +148,19 @@ class CtDataset:
     _lanes: dict[float, tuple[float, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the one pass over the rows: their rules, and the lanes in input order
-        observations = tuple(self.observations)
+        # the one pass over the rows, which a file's reader parses as this
+        # pass reaches them: their rules, and the lanes in input order
+        observations = []
         seen: set[tuple[float, int]] = set()
         lanes: dict[float, list[float]] = {}
-        for obs in observations:
+        for obs in self.observations:
             _check_observation(obs, seen)
+            observations.append(obs)
             lanes.setdefault(obs.concentration, []).append(obs.ct)
         order = sorted(lanes)
         if order:
             check_grid(order)
-        object.__setattr__(self, "observations", observations)
+        object.__setattr__(self, "observations", tuple(observations))
         object.__setattr__(self, "_lanes", {c: tuple(lanes[c]) for c in order})
 
     def __len__(self) -> int:
@@ -293,6 +294,24 @@ def read_dataset(source: str | Path | IO[str]) -> CtDataset:
             number, out-of-domain value, duplicate (concentration, replicate)
             pair, or two distinct concentrations that name the same lane.
     """
+    # the data rows, parsed as CtDataset's one pass reaches them; ``line``
+    # names the row that pass checks, and is None once every row is read
+    line = None
+
+    def rows(reader: Iterable[list[str]]) -> Iterator[CtObservation]:
+        nonlocal line
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise DatasetFormatError(f"expected 3 fields, got {len(row)}", line=line)
+            yield CtObservation(
+                _parse_float(row[0], "concentration", line),
+                _parse_int(row[1], "replicate", line),
+                _parse_float(row[2], "ct", line),
+            )
+        line = None
+
     with _open_text(source, "r") as stream:
         reader = csv.reader(stream)
         try:
@@ -300,29 +319,13 @@ def read_dataset(source: str | Path | IO[str]) -> CtDataset:
             if header is None:
                 raise DatasetFormatError("empty file: missing header")
             _check_header(header)
-
-            observations: list[CtObservation] = []
-            seen: set[tuple[float, int]] = set()
-            for line, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise DatasetFormatError(f"expected 3 fields, got {len(row)}", line=line)
-                obs = CtObservation(
-                    _parse_float(row[0], "concentration", line),
-                    _parse_int(row[1], "replicate", line),
-                    _parse_float(row[2], "ct", line),
-                )
-                _check_observation(obs, seen, line)
-                observations.append(obs)
+            return CtDataset(rows(reader), config=None)
         except csv.Error as exc:
             raise DatasetFormatError(f"malformed CSV: {exc}", line=reader.line_num) from None
         except UnicodeDecodeError as exc:
             raise DatasetFormatError(f"text is not UTF-8: {exc.reason}") from None
-    try:
-        return CtDataset(tuple(observations), config=None)
-    except InvalidParameterError as exc:  # two concentrations name one lane
-        raise DatasetFormatError(str(exc)) from None
+        except InvalidParameterError as exc:  # a row's rule, or two concentrations naming one lane
+            raise DatasetFormatError(str(exc), line=line) from None
 
 
 def write_dataset(dataset: CtDataset, sink: str | Path | IO[str]) -> None:

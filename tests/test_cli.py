@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import functools
+import hashlib
 import io
 import json
 import os
@@ -313,6 +314,50 @@ class TestSynthAndFit:
             "fit", "--input", str(path), "--high-c", "2", "--low-c", "1", "--x0", "10"
         )
         assert status == 1 and "line 2" in err
+
+
+#: SHA-256 of the concatenated ``fit --no-timestamp`` output of the 50
+#: ``golden_fit_runs`` plates. A change that moves any byte of ``fit``'s
+#: output changes it; a speedup must leave it alone.
+FIT_GOLDEN_SHA256 = "b2371aa331de0e8ac306ff856c99ff7eda21caccdfa5dce4d9a48f227f0923a4"
+
+
+def golden_fit_runs():
+    """50 plates on the 12-lane ladder with an untreated lane, as (CSV, fit argv).
+
+    Plates cycle through 8, 10 and 12 generations (so ``n_used`` takes three
+    values) and alternate the auto band with explicit ``--fit-c`` lanes.
+    """
+    from bactipot import GrowthParams, MeasurementConfig, simulate_experiment, write_dataset
+
+    ladder = [2.0**k for k in range(-7, 5)]
+    for i in range(50):
+        gens = (8, 10, 12)[i % 3]
+        config = MeasurementConfig(a=20.0, sigma_eps=0.2, x0=10_000, n_generations=gens)
+        if i % 2 == 0:
+            params, lanes = GrowthParams(10.0, 1.0), ["--high-c", "2"]
+        else:
+            params = GrowthParams(9.1, 1.12)
+            lanes = ["--high-c", "1", "--fit-c", "2^-5,2^-4,2^-2,2^-1"]
+        dataset = simulate_experiment(
+            params, ladder, config, spawn_rng(1100, i), untreated_lane=2.0**-8
+        )
+        out = io.StringIO()
+        write_dataset(dataset, out)
+        argv = ["fit", "--input", "-", "--low-c", "2^-8", "--x0", "10000", *lanes]
+        yield out.getvalue(), [*argv, "--no-timestamp"]
+
+
+def test_fit_output_bytes_are_pinned(run):
+    digest = hashlib.sha256()
+    n_used = set()
+    for text, argv in golden_fit_runs():
+        status, out, _ = run(*argv, stdin=text)
+        assert status == 0
+        n_used.add(json.loads(out)["n_used"])
+        digest.update(out.encode())
+    assert n_used == {8, 10, 12}
+    assert digest.hexdigest() == FIT_GOLDEN_SHA256
 
 
 class TestMcStudy:

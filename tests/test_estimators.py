@@ -33,8 +33,10 @@ from bactipot import (
     simulate_batch,
     spawn_rng,
 )
+from bactipot.branching import _growth_curve
 from bactipot.estimators import (
     _bisect,
+    _invert_totals,
     _covariance_sums,
     _design_sums,
     estimate_offspring_means,
@@ -157,13 +159,86 @@ class TestInvertMeanTotals:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 31, 62, 63, 100, 500, 1023])
     def test_bit_identical_to_scalar_bisection(self, n):
-        # the array bisection of estimate_offspring_means, on totals strictly
-        # inside (1, 2**n), where invert_mean_total is one scalar _bisect call
+        # the array bisection and the array inversion of
+        # estimate_offspring_means, on totals strictly inside (1, 2**n)
         rng = spawn_rng(401, n)
         interior = np.exp2(rng.uniform(0.0, n, size=502))
         mu = np.clip(interior, math.nextafter(1.0, 2.0), math.nextafter(2.0**n, 1.0))
         expected = [invert_mean_total(float(x), n) for x in mu]
         assert _bisect(mu.reshape(2, -1), n).ravel().tolist() == expected
+        assert _invert_totals(mu.reshape(2, -1), n).ravel().tolist() == expected
+
+    @given(st.integers(1, 1023), st.integers(1, 2**41 - 2))
+    @settings(max_examples=150, deadline=None)
+    def test_lattice_totals_invert_as_the_halvings_do(self, n, k):
+        # a total the growth curve takes on the 2**-40 lattice, and its two
+        # neighbouring floats: a guess lands on the wrong side of a lattice
+        # point most easily here
+        at = _growth_curve(k * 2.0**-40, n)
+        mus = {
+            min(max(mu, math.nextafter(1.0, 2.0)), math.nextafter(2.0**n, 1.0))
+            for mu in (math.nextafter(at, 0.0), at, math.nextafter(at, math.inf))
+        }
+        expected = [halving_bisection(mu, n) for mu in mus]
+        assert [invert_mean_total(mu, n) for mu in mus] == expected
+        assert _invert_totals(np.array(list(mus)), n).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "n, means",
+        [
+            (n, [1.0 + s * d for s in (-1, 1) for d in (1e-3, 1e-7, 1e-9, 1e-12, 2.0**-40)])
+            for n in (1, 2, 10, 62, 1023)
+        ]
+        + [(1023, [2.0 - k * 2.0**-40 for k in (1, 2, 3, 1000, 2**20)])],
+        ids=[f"m~1,n={n}" for n in (1, 2, 10, 62, 1023)] + ["m~2,n=1023"],
+    )
+    def test_near_one_and_two(self, n, means):
+        mus = [1.0 + n / 2, *(_growth_curve(m, n) for m in means)]
+        mus = [mu for mu in mus if 1.0 < mu < 2.0**n]
+        expected = [halving_bisection(mu, n) for mu in mus]
+        assert [invert_mean_total(mu, n) for mu in mus] == expected
+        assert _invert_totals(np.array(mus), n).tolist() == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 62, 1023])
+    def test_the_guess_lands_in_its_bracket(self, monkeypatch, n):
+        # the halvings are a fallback, not the usual route
+        from bactipot import estimators
+
+        def unreachable(mu, n):
+            raise AssertionError(f"fell back to the halvings at mu={mu!r}")
+
+        monkeypatch.setattr(estimators, "_bisect", unreachable)
+        rng = spawn_rng(403, n)
+        totals = np.exp2(rng.uniform(0.0, n, size=200))
+        mu = np.clip(totals, 1.0 + 2.0**-40, 2.0**n * (1 - 2.0**-40))
+        for x in mu.tolist():
+            invert_mean_total(x, n)
+        _invert_totals(mu, n)
+
+    @pytest.mark.parametrize("guess", [math.nan, 0.0, 2.0, math.inf, 3.0])
+    def test_a_failed_check_falls_back_to_the_halvings(self, monkeypatch, guess):
+        from bactipot import estimators
+
+        calls = []
+
+        def bisect(mu, n):
+            calls.append(mu)
+            return _bisect(mu, n)
+
+        def bad_guess(mu, n, xp):
+            return guess if xp is math else np.full_like(mu, guess)
+
+        monkeypatch.setattr(estimators, "_bisect", bisect)
+        monkeypatch.setattr(estimators, "_guess", bad_guess)
+        mus = [1.5, 6.0, 100.0, 1000.0]
+        expected = [halving_bisection(mu, 10) for mu in mus]
+        assert [invert_mean_total(mu, 10) for mu in mus] == expected
+        assert _invert_totals(np.array(mus), 10).tolist() == expected
+        assert len(calls) == len(mus) + 1
+        mean_ct = -LOG2_X0 - 3.3
+        want = estimate_offspring_mean([mean_ct], 0.0, 10**4, 10)
+        got = estimate_offspring_means(np.float64(mean_ct), 0.0, 10**4, 10)
+        assert got.shape == () and got == want.m_hat == _bisect(want.mu_hat, 10)
 
     def test_array_estimates_follow_the_scalar_clamp(self):
         # Ct values below, inside and above the feasible range of one lane
@@ -186,6 +261,14 @@ class TestInvertMeanTotals:
         mean_ct, a = -1.7976931348623157e308, 9.9792015476736e291
         got = estimate_offspring_means(np.array([mean_ct]), a, 1, 1)
         assert got.tolist() == [estimate_offspring_mean([mean_ct], a, 1, 1).m_hat] == [2.0]
+
+    @pytest.mark.parametrize("n", [1, 10, 1023])
+    def test_clamped_totals_give_the_endpoints_without_warnings(self, n):
+        # totals clamped to 1 and to 2**n, the largest float power of two at
+        # n = 1023, next to an interior one; a warning would fail the test
+        got = estimate_offspring_means(np.array([1e300, -LOG2_X0 - 0.5, -1e300]), 0.0, 10**4, n)
+        assert got[0] == 0.0 and got[2] == 2.0
+        assert got[1] == estimate_offspring_mean([-LOG2_X0 - 0.5], 0.0, 10**4, n).m_hat
 
     def test_nan_mean_ct_is_refused(self):
         with pytest.raises(InvalidParameterError, match="NaN"):

@@ -15,6 +15,7 @@ from bactipot import (
     McStudyConfig,
     MeasurementConfig,
     PipelineConfig,
+    SingularDesignError,
     emit_curve,
     evaluate_designs,
     fit_dataset,
@@ -118,6 +119,19 @@ class TestRunMcStudy:
         assert report.mean_alpha == pytest.approx(10.0, rel=0.02)
         assert report.emp_var_alpha == pytest.approx(report.theoretical.sigma2_alpha, rel=0.30)
         assert report.emp_var_beta == pytest.approx(report.theoretical.sigma2_beta, rel=0.30)
+
+    def test_a_design_out_of_range_fails_before_any_plate_is_synthesized(self, monkeypatch):
+        # this design's exact covariance overflows; the study raises at once
+        # rather than after simulating every block
+        def unreachable(*args):
+            raise AssertionError("synthesize_plates ran")
+
+        monkeypatch.setattr("bactipot.harness.synthesize_plates", unreachable)
+        config = study_config(
+            params=GrowthParams(1e10, 0.05), grid=(1e-220, 1e-200, 1e-180), n_measurements=5000
+        )
+        with pytest.raises(SingularDesignError, match="floating-point range"):
+            run_mc_study(config)
 
     def test_to_dict_round_trips_fields(self):
         report = run_mc_study(study_config(n_measurements=5))

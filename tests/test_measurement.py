@@ -330,8 +330,41 @@ class TestCsvErrors:
 
     def test_twin_lanes_rejected(self):
         text = f"concentration,replicate,ct\n0.03125,1,-10.5\n0.03125,2,-10.6\n{TWIN!r},1,-10.4\n"
-        with pytest.raises(DatasetFormatError, match="same lane"):
+        with pytest.raises(DatasetFormatError, match="same lane") as exc_info:
             read_dataset(io.StringIO(text))
+        # a fault of the whole grid, not of its last row
+        assert exc_info.value.line is None
+        assert str(exc_info.value).startswith("concentrations 0.03125 and ")
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            (["0.25,1,-10.5", "0.25,1,-10.6", "oops,2,-10.6"],
+             "line 3: duplicate (concentration, replicate) pair (0.25, 1)"),
+            (["0.25,1,-10.5", "oops,2,-10.6", "0.25,1,-10.6"],
+             "line 3: malformed number 'oops' in column 'concentration'"),
+        ],
+        ids=["rule-first", "parse-first"],
+    )
+    def test_the_first_faulty_row_is_reported(self, rows, expected):
+        text = "concentration,replicate,ct\n" + "\n".join(rows) + "\n"
+        with pytest.raises(DatasetFormatError) as exc_info:
+            read_dataset(io.StringIO(text))
+        assert str(exc_info.value) == expected
+
+    def test_each_row_is_checked_once(self, monkeypatch):
+        from bactipot import measurement
+
+        checked = []
+        check = measurement._check_observation
+        def counted(obs, seen):
+            checked.append(obs)
+            check(obs, seen)
+
+        monkeypatch.setattr(measurement, "_check_observation", counted)
+        text = "concentration,replicate,ct\n0.25,1,-10.5\n0.25,2,-10.6\n0.5,1,-9.0\n"
+        dataset = read_dataset(io.StringIO(text))
+        assert len(checked) == 3 and checked == list(dataset.observations)
 
     def test_wrong_field_count(self):
         with pytest.raises(DatasetFormatError, match="3 fields"):
