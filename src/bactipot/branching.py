@@ -258,12 +258,16 @@ def advance(
         rest = p1 + p2
         p_die = p0 / (p0 + rest)
         p_stay = p1 / (rest + _TINY)
+    # bounds on the largest live and dead counts, as Python ints that cannot wrap:
+    # a generation at most doubles a live count and adds it to its dead count
+    top_alive = top_dead = _STEP_SAFE_TOTAL
     for _ in range(n_generations):
-        # Python ints, so the sum cannot wrap
-        if int(alive.max(initial=0)) + int(dead.max(initial=0)) > _STEP_SAFE_TOTAL:
-            raise CountOverflowError(
-                f"total count may overflow {MAX_COUNT} in one generation"
-            )
+        if top_alive + top_dead > _STEP_SAFE_TOTAL:
+            top_alive, top_dead = int(alive.max(initial=0)), int(dead.max(initial=0))
+            if top_alive + top_dead > _STEP_SAFE_TOTAL:
+                raise CountOverflowError(
+                    f"total count may overflow {MAX_COUNT} in one generation"
+                )
         if general:
             d0 = rng.binomial(alive, p_die)
             d1 = rng.binomial(alive - d0, p_stay)
@@ -272,6 +276,7 @@ def advance(
         else:
             d2 = rng.binomial(alive, p2)
             alive, dead = 2 * d2, dead + (alive - d2)
+        top_alive, top_dead = 2 * top_alive, top_dead + top_alive
     return alive, dead
 
 

@@ -171,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="accepted for compatibility, >= 1; studies always run in one process",
+        help="accepted for compatibility, >= 1; a study runs its blocks on every usable CPU",
     )
     _add_common(p, seed=True, pretty=True, timestamp=True)
     p.set_defaults(handler=_cmd_mc_study)

@@ -16,6 +16,9 @@ Three workflows sit on top of the simulation and estimation layers:
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -232,13 +235,14 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
     Each repetition synthesizes a plate on ``config.grid``, estimates the
     offspring mean per lane with the known calibration constant and
     generation count, and refits the dose-response parameters on the full
-    grid. The study runs in this process as array work, one block of
-    ``MC_BLOCK`` repetitions at a time: one ``simulate_batch`` call grows
-    every well of the block, and the Ct synthesis, the growth-curve
-    inversion and the least-squares fit each run once over the block's
-    ``(repetitions, lanes)`` mean-Ct matrix. Block ``b`` draws from ``spawn_rng(seed, b)``,
-    so the report is a function of ``config`` alone. Failed fits are
-    counted, not raised.
+    grid, as array work in blocks of ``MC_BLOCK`` repetitions: one
+    ``simulate_batch`` call grows every well of a block, and the Ct
+    synthesis, inversion and fit each run once over its ``(repetitions,
+    lanes)`` mean-Ct matrix, on up to one thread per CPU, each held to its
+    CPU until the caller's CPU set is restored on return. Block ``b`` draws
+    from ``spawn_rng(seed, b)`` and fills only its rows, so the report is a
+    function of ``config`` alone, on any CPU count. Failed fits are counted;
+    a block that raises fails the study, lowest block first.
 
     Args:
         config: Study definition.
@@ -259,12 +263,44 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
     means = [mean_from_concentration(config.params, c) for c in config.grid]
     total = config.n_measurements
     results = np.empty((total, 3))
-    for block, start in enumerate(range(0, total, MC_BLOCK)):
-        stop = min(start + MC_BLOCK, total)
-        rng = spawn_rng(config.seed, block)
-        mean_cts = synthesize_plates(means, m, stop - start, rng).mean(axis=2)
-        m_hats = estimate_offspring_means(mean_cts, m.a, m.x0, m.n_generations)
-        results[start:stop] = fit_dose_response_rows(m_hats, config.grid)
+    n_blocks = -(-total // MC_BLOCK)
+    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    # one thread per CPU, held to it: left free, two can share a CPU for
+    # hundreds of ms. Each takes the next block as it frees up, in order, so
+    # every block below a failing one is out and none above it need start.
+    cpus = sorted(allowed)[:n_blocks]
+    blocks, hand_out = iter(range(n_blocks)), threading.Lock()
+    errors: dict[int, Exception] = {}
+
+    def run_blocks(cpu: int) -> None:
+        if threads:
+            _hold_to({cpu})
+        while True:
+            with hand_out:
+                block = None if errors else next(blocks, None)
+            if block is None:
+                return
+            start, stop = block * MC_BLOCK, min((block + 1) * MC_BLOCK, total)
+            try:
+                rng = spawn_rng(config.seed, block)
+                mean_cts = synthesize_plates(means, m, stop - start, rng).mean(axis=2)
+                m_hats = estimate_offspring_means(mean_cts, m.a, m.x0, m.n_generations)
+                results[start:stop] = fit_dose_response_rows(m_hats, config.grid)
+            except Exception as exc:
+                errors[block] = exc
+
+    threads = [threading.Thread(target=run_blocks, args=(cpu,)) for cpu in cpus[1:]]
+    try:
+        for thread in threads:
+            thread.start()
+        run_blocks(cpus[0])
+    finally:
+        for thread in filter(threading.Thread.is_alive, threads):
+            thread.join()
+        if threads:
+            _hold_to(allowed)
+    if errors:
+        raise errors[min(errors)]
 
     ok = ~np.isnan(results[:, 0])
     failures = int(total - ok.sum())
@@ -286,6 +322,12 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
         failures=failures,
         n_measurements=total,
     )
+
+
+def _hold_to(cpus) -> None:
+    # pid 0 is the calling thread on Linux; a refusal only costs speed
+    with suppress(AttributeError, OSError):
+        os.sched_setaffinity(0, cpus)
 
 
 def _mean(values: np.ndarray) -> float:

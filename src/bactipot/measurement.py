@@ -298,9 +298,10 @@ def read_dataset(source: str | Path | IO[str]) -> CtDataset:
     # names the row that pass checks, and is None once every row is read
     line = None
 
-    def rows(reader: Iterable[list[str]]) -> Iterator[CtObservation]:
+    def rows(reader) -> Iterator[CtObservation]:
         nonlocal line
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
+            line = reader.line_num  # a quoted field may span lines; name the last
             if not row:
                 continue
             if len(row) != 3:

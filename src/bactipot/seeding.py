@@ -3,8 +3,8 @@
 Every stochastic routine in the package consumes an explicit
 ``numpy.random.Generator``. Replicated work (Monte Carlo measurements,
 parallel trajectories) derives one child stream per task from a master seed
-and the task index, so results are identical no matter how the tasks are
-ordered or distributed across workers.
+and the task index, so results are identical however the tasks are ordered
+or spread over threads, as a Monte Carlo study spreads its blocks.
 """
 
 from __future__ import annotations

@@ -595,6 +595,50 @@ class TestAdvance:
         with pytest.raises(CountOverflowError):
             advance(np.array([2**62]), np.array([2**62]), 0.0, 0.0, 1.0, 1, spawn_rng(0))
 
+    @pytest.mark.parametrize(
+        "alive, dead, probs, refused",
+        [
+            ([2**60] * 5, [0] * 5, (0.0, 0.0, 1.0), True),
+            ([2**59] * 5, [0] * 5, (0.05, 0.0, 0.95), True),
+            ([2**58] * 5, [0] * 5, (0.1, 0.2, 0.7), True),
+            # the bounds pass the limit while the counts stay far below it
+            ([2**61] * 5, [0] * 5, (0.75, 0.0, 0.25), False),
+            # one well doubles and the other dies: the largest live and dead
+            # counts sit in different wells and both grow
+            ([2**60] * 2, [0, 2**61 - 1], ([0.0, 1.0], 0.0, [1.0, 0.0]), True),
+        ],
+        ids=["m=2", "death-or-divide", "general", "low-mean", "split-wells"],
+    )
+    def test_overflow_guard_matches_a_check_before_every_generation(
+        self, alive, dead, probs, refused
+    ):
+        # one generation per call reads the real maxima before every
+        # generation; a whole run must stop before the same one, having made
+        # the same draws, or run through to the same counts
+        n = 40
+        probs = tuple(np.asarray(p) for p in probs)
+        start = (np.array(alive, dtype=np.int64), np.array(dead, dtype=np.int64))
+        stepwise = spawn_rng(41)
+        alive, dead = start
+        ran = 0
+        try:
+            while ran < n:
+                alive, dead = advance(alive, dead, *probs, 1, stepwise)
+                ran += 1
+        except CountOverflowError:
+            pass
+        assert (ran < n) == refused
+        whole = spawn_rng(41)
+        if refused:
+            with pytest.raises(CountOverflowError):
+                advance(*start, *probs, n, whole)
+        else:
+            whole_alive, whole_dead = advance(*start, *probs, n, whole)
+            assert whole_alive.tolist() == alive.tolist() and whole_dead.tolist() == dead.tolist()
+        assert whole.bit_generator.state == stepwise.bit_generator.state
+        shorter = advance(*start, *probs, ran, spawn_rng(41))
+        assert shorter[0].tolist() == alive.tolist() and shorter[1].tolist() == dead.tolist()
+
     def test_inputs_are_left_alone(self):
         alive = np.full(4, 50)
         dead = np.zeros(4, dtype=np.int64)

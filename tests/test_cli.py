@@ -846,6 +846,19 @@ class TestColdStart:
         proc = self.child("import bactipot, bactipot.cli, sys; print('numpy' in sys.modules)")
         assert proc.returncode == 0 and proc.stdout == "False\n"
 
+    def test_a_study_loads_no_executor(self, tmp_path):
+        # a study's threads come from threading, which loads anyway;
+        # concurrent.futures would bring logging with it at every cold start
+        proc = self.child(
+            "import sys\n"
+            "from bactipot.cli import main\n"
+            "main(sys.argv[1:])\n"
+            "print(sorted({'concurrent.futures', 'logging', 'queue'} & set(sys.modules)))\n",
+            "mc-study", "--alpha", "10", "--beta", "1", "--grid", "2^-6,2^-4",
+            "--measurements", "600", "-o", str(tmp_path / "study.json"),
+        )
+        assert proc.returncode == 0 and proc.stdout == "[]\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

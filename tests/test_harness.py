@@ -1,6 +1,10 @@
 """Study drivers: Monte Carlo reports, design tables, pipeline fits."""
 
+import json
 import math
+import os
+import sys
+import threading
 
 import pytest
 
@@ -25,6 +29,7 @@ from bactipot import (
     simulate_experiment,
     spawn_rng,
 )
+from bactipot import harness
 from bactipot.harness import MC_BLOCK
 
 REFERENCE_DESIGN = (2**-6, 2**-4, 2**-2)
@@ -50,11 +55,82 @@ class TestRunMcStudy:
         b = run_mc_study(study_config())
         assert a == b
 
-    def test_parallel_matches_serial(self):
-        # spans a block boundary, so more than one stream is in play
-        config = study_config(n_measurements=MC_BLOCK + 13)
-        serial = run_mc_study(config, workers=1)
-        assert all(run_mc_study(config, workers=w) == serial for w in (2, 3))
+    @staticmethod
+    def on_cpus(monkeypatch, cpus):
+        # the one lookup of the CPUs a study may use; absent on some platforms
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    def test_parallel_matches_serial(self, monkeypatch):
+        # five blocks, the last one short, so threads share out uneven work;
+        # eight CPUs cap the pool at five threads, more than a small host has cores,
+        # and a short switch interval interleaves them as often as it can
+        config = study_config(n_measurements=MC_BLOCK * 4 + 13)
+        states = [repr(spawn_rng(config.seed, b).bit_generator.state) for b in range(5)]
+        reports, threads = [], []
+        synthesize = harness.synthesize_plates
+
+        def recorded(means, measurement, count, rng):
+            threads.append(threading.current_thread())
+            # the first blocks out wait for each other, so each is on its own thread
+            if states.index(repr(rng.bit_generator.state)) < together.parties:
+                together.wait()
+            return synthesize(means, measurement, count, rng)
+
+        monkeypatch.setattr(harness, "synthesize_plates", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3, 8):
+                self.on_cpus(monkeypatch, cpus)
+                together = threading.Barrier(min(cpus, 5), timeout=60)
+                threads.clear()
+                reports.append(run_mc_study(config))
+                assert len(threads) == 5 and len(set(threads)) == min(cpus, 5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(report == reports[0] for report in reports)
+        first, *rest = (json.dumps(r.to_dict()) for r in reports)
+        assert all(text == first for text in rest)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_each_block_thread_is_held_to_one_cpu(self, monkeypatch):
+        # and the caller's own CPU set comes back unchanged
+        allowed = os.sched_getaffinity(0)
+        held = []
+        synthesize = harness.synthesize_plates
+
+        def recorded(*args):
+            held.append(os.sched_getaffinity(0))
+            return synthesize(*args)
+
+        monkeypatch.setattr(harness, "synthesize_plates", recorded)
+        run_mc_study(study_config(n_measurements=MC_BLOCK * 4 + 13))
+        assert os.sched_getaffinity(0) == allowed
+        if len(allowed) == 1:
+            assert held == [allowed] * 5
+        else:
+            assert len(held) == 5 and all(len(cpus) == 1 and cpus <= allowed for cpus in held)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_the_lowest_failing_block_raises(self, monkeypatch, cpus):
+        # blocks 2 and 3 of five fail; whichever threads run them, block 2's
+        # error comes out, and no thread is left running
+        config = study_config(n_measurements=MC_BLOCK * 4 + 13)
+        states = [repr(spawn_rng(config.seed, b).bit_generator.state) for b in range(5)]
+        synthesize = harness.synthesize_plates
+
+        def failing(means, measurement, count, rng):
+            block = states.index(repr(rng.bit_generator.state))
+            if block in (2, 3):
+                raise InvalidParameterError(f"block {block}")
+            return synthesize(means, measurement, count, rng)
+
+        monkeypatch.setattr(harness, "synthesize_plates", failing)
+        self.on_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        with pytest.raises(InvalidParameterError, match="^block 2$"):
+            run_mc_study(config)
+        assert threading.active_count() == before
 
     def test_worker_count_is_validated(self):
         with pytest.raises(InvalidParameterError):

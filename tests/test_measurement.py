@@ -343,8 +343,11 @@ class TestCsvErrors:
              "line 3: duplicate (concentration, replicate) pair (0.25, 1)"),
             (["0.25,1,-10.5", "oops,2,-10.6", "0.25,1,-10.6"],
              "line 3: malformed number 'oops' in column 'concentration'"),
+            # a quoted field spans lines 2-3, so the duplicate sits on line 4
+            (['1,1,"3\n"', "1,1,5"],
+             "line 4: duplicate (concentration, replicate) pair (1.0, 1)"),
         ],
-        ids=["rule-first", "parse-first"],
+        ids=["rule-first", "parse-first", "record-spans-lines"],
     )
     def test_the_first_faulty_row_is_reported(self, rows, expected):
         text = "concentration,replicate,ct\n" + "\n".join(rows) + "\n"
