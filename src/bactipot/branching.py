@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -43,8 +43,15 @@ _PROB_TOL = 1e-12
 _TINY = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class OffspringDistribution:
+def _checked_record(fields: str):
+    # a namedtuple base for a subclass whose __new__ checks the fields; _make,
+    # and so _replace, builds through that __new__ too
+    base = namedtuple("_checked_record", fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class OffspringDistribution(_checked_record("p0 p1 p2")):
     """Per-cell fate probabilities: die, survive as one, divide in two.
 
     Attributes:
@@ -53,20 +60,18 @@ class OffspringDistribution:
         p2: Probability of dividing (two offspring).
     """
 
-    p0: float
-    p1: float
-    p2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("p0", "p1", "p2"):
-            p = getattr(self, name)
+    def __new__(cls, p0: float, p1: float, p2: float):
+        for name, p in (("p0", p0), ("p1", p1), ("p2", p2)):
             if not (0.0 <= p <= 1.0) or math.isnan(p):
                 raise InvalidParameterError(f"{name} must lie in [0, 1], got {p!r}")
-        total = self.p0 + self.p1 + self.p2
+        total = p0 + p1 + p2
         if abs(total - 1.0) > _PROB_TOL:
             raise InvalidParameterError(
                 f"probabilities must sum to 1 within {_PROB_TOL}, got {total!r}"
             )
+        return super().__new__(cls, p0, p1, p2)
 
     @property
     def mean(self) -> float:
@@ -74,22 +79,19 @@ class OffspringDistribution:
         return self.p1 + 2.0 * self.p2
 
 
-@dataclass(frozen=True)
-class GrowthParams:
+class GrowthParams(_checked_record("alpha beta")):
     """Dose-response parameters of the offspring mean curve.
 
     The offspring mean at concentration ``c`` is ``2 / (1 + alpha * c**beta)``:
     ``alpha`` sets the concentration scale and ``beta`` the steepness.
     """
 
-    alpha: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.alpha > 0.0) or not (self.beta > 0.0):
-            raise InvalidParameterError(
-                f"alpha and beta must be positive, got ({self.alpha!r}, {self.beta!r})"
-            )
+    def __new__(cls, alpha: float, beta: float):
+        if alpha > 0.0 and beta > 0.0:  # NaN fails every comparison
+            return super().__new__(cls, alpha, beta)
+        raise InvalidParameterError(f"alpha and beta must be positive, got ({alpha!r}, {beta!r})")
 
 
 def mean_from_concentration(params: GrowthParams, concentration: float) -> float:

@@ -35,7 +35,6 @@ import math
 import os
 import re
 import sys
-from datetime import datetime, timezone
 from typing import Iterable, Sequence
 
 from .branching import (
@@ -174,7 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility, >= 1; a study runs its blocks on every usable CPU",
     )
     _add_common(p, seed=True, pretty=True, timestamp=True)
-    p.set_defaults(handler=_cmd_mc_study)
+    # mc-study takes no --a: its plates keep the default calibration constant
+    p.set_defaults(handler=_cmd_mc_study, a=defaults.a)
 
     p = sub.add_parser("design-eval", help="rank concentration designs analytically")
     p.add_argument("--alpha", type=float, required=True)
@@ -334,9 +334,8 @@ def _offspring_from_args(args: argparse.Namespace) -> OffspringDistribution:
 
 
 def _measurement_config(args: argparse.Namespace) -> MeasurementConfig:
-    # mc-study takes no --a: its plates keep the default calibration constant
     return MeasurementConfig(
-        a=getattr(args, "a", MeasurementConfig.a),
+        a=args.a,
         sigma_eps=args.sigma_eps,
         x0=args.x0,
         n_generations=args.gens,
@@ -362,6 +361,7 @@ def _meta(args: argparse.Namespace, seed: int | None) -> dict:
     if seed is not None:
         meta["seed"] = seed
     if not args.no_timestamp:
+        from datetime import datetime, timezone  # only here: --no-timestamp never loads it
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     return meta
 

@@ -24,8 +24,7 @@ lanes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .branching import (
     GrowthParams,
@@ -58,8 +57,7 @@ _LATTICE = _HALF_WIDTHS[-1]
 _CT_OVERFLOW = "Ct values are too large: their sums overflow the floating-point range"
 
 
-@dataclass(frozen=True)
-class MeanEstimate:
+class MeanEstimate(NamedTuple):
     """Per-concentration estimate of the expected total and offspring mean.
 
     Attributes:
@@ -79,8 +77,7 @@ class MeanEstimate:
     clamped: bool
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Least-squares dose-response fit and the implied MIC.
 
     ``mic_hat`` is exactly ``alpha_hat ** (-1/beta_hat)``. ``excluded`` lists
@@ -105,8 +102,7 @@ class FitResult:
         }
 
 
-@dataclass(frozen=True)
-class AsymptoticCovariance:
+class AsymptoticCovariance(NamedTuple):
     """Asymptotic covariance of the scaled estimation errors for one design.
 
     Entries are the limiting variances/covariance of

@@ -19,10 +19,15 @@ import math
 import os
 import threading
 from contextlib import suppress
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .branching import GrowthParams, _check_x0, mean_from_concentration, mean_total_from_mean
+from .branching import (
+    GrowthParams,
+    _check_x0,
+    _checked_record,
+    mean_from_concentration,
+    mean_total_from_mean,
+)
 from .errors import (
     InsufficientDataError,
     InvalidParameterError,
@@ -55,8 +60,7 @@ if TYPE_CHECKING:
 MC_BLOCK = 250
 
 
-@dataclass(frozen=True)
-class McStudyConfig:
+class McStudyConfig(_checked_record("params grid measurement n_measurements seed")):
     """One Monte Carlo study: repeat a synthetic experiment and refit.
 
     Attributes:
@@ -70,23 +74,24 @@ class McStudyConfig:
             ``(seed, b)``, so a report depends on the seed alone.
     """
 
-    params: GrowthParams
-    grid: tuple[float, ...]
-    measurement: MeasurementConfig
-    n_measurements: int
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(self.grid))
-        check_grid(self.grid)
-        if self.n_measurements < 2:
-            raise InvalidParameterError(
-                f"n_measurements must be >= 2, got {self.n_measurements!r}"
-            )
+    def __new__(
+        cls,
+        params: GrowthParams,
+        grid: Sequence[float],
+        measurement: MeasurementConfig,
+        n_measurements: int,
+        seed: int = 0,
+    ):
+        grid = tuple(grid)
+        check_grid(grid)
+        if n_measurements < 2:
+            raise InvalidParameterError(f"n_measurements must be >= 2, got {n_measurements!r}")
+        return super().__new__(cls, params, grid, measurement, n_measurements, seed)
 
 
-@dataclass(frozen=True)
-class McStudyReport:
+class McStudyReport(NamedTuple):
     """Aggregated Monte Carlo study results.
 
     Means are plain averages of the fitted parameters over successful
@@ -123,8 +128,7 @@ class McStudyReport:
         }
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(_checked_record("high_c_threshold low_c_choice x0 fit_concentrations")):
     """User choices for fitting one dataset.
 
     The thresholds are deliberately mandatory: which lanes count as
@@ -143,21 +147,22 @@ class PipelineConfig:
             offspring-mean estimate is informative.
     """
 
-    high_c_threshold: float
-    low_c_choice: float
-    x0: int
-    fit_concentrations: tuple[float, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.fit_concentrations is not None:
-            object.__setattr__(
-                self, "fit_concentrations", tuple(self.fit_concentrations)
-            )
-        _check_x0(self.x0)
+    def __new__(
+        cls,
+        high_c_threshold: float,
+        low_c_choice: float,
+        x0: int,
+        fit_concentrations: Sequence[float] | None = None,
+    ):
+        if fit_concentrations is not None:
+            fit_concentrations = tuple(fit_concentrations)
+        _check_x0(x0)
+        return super().__new__(cls, high_c_threshold, low_c_choice, x0, fit_concentrations)
 
 
-@dataclass(frozen=True)
-class CtResidual:
+class CtResidual(NamedTuple):
     """Observed versus model-predicted mean Ct for one lane."""
 
     concentration: float
@@ -169,8 +174,7 @@ class CtResidual:
         return self.observed_mean_ct - self.predicted_ct
 
 
-@dataclass(frozen=True)
-class PipelineFit:
+class PipelineFit(NamedTuple):
     """Full pipeline output: fit plus every intermediate diagnostic."""
 
     fit: FitResult
@@ -211,8 +215,7 @@ class PipelineFit:
         }
 
 
-@dataclass(frozen=True)
-class DesignEvaluation:
+class DesignEvaluation(NamedTuple):
     """Asymptotic covariance of one candidate design; None marks it singular."""
 
     design: tuple[float, ...]

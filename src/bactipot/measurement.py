@@ -24,7 +24,6 @@ import csv
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
@@ -32,6 +31,7 @@ from .branching import (
     GrowthParams,
     _check_generations,
     _check_x0,
+    _checked_record,
     dist_from_mean,
     mean_from_concentration,
     simulate_batch,
@@ -81,8 +81,7 @@ def check_sigma_eps(sigma_eps: float) -> None:
         raise InvalidParameterError(f"sigma_eps must be finite and >= 0, got {sigma_eps!r}")
 
 
-@dataclass(frozen=True)
-class MeasurementConfig:
+class MeasurementConfig(_checked_record("a sigma_eps x0 n_generations replicates")):
     """Parameters of one synthetic qPCR experiment.
 
     Attributes:
@@ -93,18 +92,22 @@ class MeasurementConfig:
         replicates: Independent wells per concentration.
     """
 
-    a: float = 0.0
-    sigma_eps: float = 0.2
-    x0: int = 10_000
-    n_generations: int = 10
-    replicates: int = 3
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_sigma_eps(self.sigma_eps)
-        _check_x0(self.x0)
-        _check_generations(self.n_generations, minimum=1)
-        if self.replicates < 1:
-            raise InvalidParameterError(f"replicates must be >= 1, got {self.replicates!r}")
+    def __new__(
+        cls,
+        a: float = 0.0,
+        sigma_eps: float = 0.2,
+        x0: int = 10_000,
+        n_generations: int = 10,
+        replicates: int = 3,
+    ):
+        check_sigma_eps(sigma_eps)
+        _check_x0(x0)
+        _check_generations(n_generations, minimum=1)
+        if replicates < 1:
+            raise InvalidParameterError(f"replicates must be >= 1, got {replicates!r}")
+        return super().__new__(cls, a, sigma_eps, x0, n_generations, replicates)
 
 
 class CtObservation(NamedTuple):
@@ -133,7 +136,6 @@ def _check_observation(obs: CtObservation, seen: set) -> None:
     raise InvalidParameterError(problem)
 
 
-@dataclass(frozen=True)
 class CtDataset:
     """An ordered collection of Ct observations over a concentration grid.
 
@@ -143,25 +145,37 @@ class CtDataset:
     ingested lab data.
     """
 
-    observations: tuple[CtObservation, ...]
-    config: MeasurementConfig | None = None
-    _lanes: dict[float, tuple[float, ...]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("observations", "config", "_lanes")
 
-    def __post_init__(self):
+    def __init__(
+        self, observations: Iterable[CtObservation], config: MeasurementConfig | None = None
+    ):
         # the one pass over the rows, which a file's reader parses as this
         # pass reaches them: their rules, and the lanes in input order
-        observations = []
+        rows = []
         seen: set[tuple[float, int]] = set()
         lanes: dict[float, list[float]] = {}
-        for obs in self.observations:
+        for obs in observations:
             _check_observation(obs, seen)
-            observations.append(obs)
+            rows.append(obs)
             lanes.setdefault(obs.concentration, []).append(obs.ct)
         order = sorted(lanes)
         if order:
             check_grid(order)
-        object.__setattr__(self, "observations", tuple(observations))
+        object.__setattr__(self, "observations", tuple(rows))
+        object.__setattr__(self, "config", config)
         object.__setattr__(self, "_lanes", {c: tuple(lanes[c]) for c in order})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.observations, self.config) == (other.observations, other.config)
+
+    def __hash__(self) -> int:
+        return hash((self.observations, self.config))
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -314,7 +328,7 @@ def read_dataset(source: str | Path | IO[str]) -> CtDataset:
         line = None
 
     with _open_text(source, "r") as stream:
-        reader = csv.reader(stream)
+        reader = csv.reader(stream, strict=True)  # so an unclosed quote is an error
         try:
             header = next(reader, None)
             if header is None:
@@ -335,13 +349,13 @@ def write_dataset(dataset: CtDataset, sink: str | Path | IO[str]) -> None:
     Floats are rendered in canonical positional-decimal form: the shortest
     decimal literal that round-trips exactly, never exponent notation.
     """
+    # no field holds a comma, quote or newline, so none needs quoting
+    text = "".join(
+        f"{_format_float(c)},{replicate},{_format_float(ct)}\n"
+        for c, replicate, ct in dataset.observations
+    )
     with _open_text(sink, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for obs in dataset.observations:
-            writer.writerow(
-                [_format_float(obs.concentration), obs.replicate, _format_float(obs.ct)]
-            )
+        stream.write(",".join(CSV_COLUMNS) + "\n" + text)
 
 
 def _format_float(value: float) -> str:

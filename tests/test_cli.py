@@ -286,6 +286,18 @@ class TestSynthAndFit:
         assert status == 1 and out == "" and "line 2" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "row", ['1,1,"3\n', '1,1,"3"x\n'], ids=["ends-inside-a-quote", "text-after-a-quote"]
+    )
+    def test_fit_unclosed_quote_is_data_error(self, run, row):
+        status, out, err = run(
+            "fit", "--input", "-", "--high-c", "2", "--low-c", "1", "--x0", "10",
+            stdin="concentration,replicate,ct\n" + row,
+        )
+        assert status == 1 and out == ""
+        assert err.startswith("bactipot: error: line 2: malformed CSV: ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("source", ["path", "stdin"])
     def test_fit_text_that_is_not_utf8_is_data_error(self, run, tmp_path, monkeypatch, source):
         raw = "concentration,replicate,ct\n0.25,1,3.0 \u00b5g\n".encode("latin-1")
@@ -833,7 +845,11 @@ def test_readme_cli_examples_run(tmp_path):
 
 
 class TestColdStart:
-    """``import bactipot`` loads no numpy; only the commands that sample do."""
+    """``import bactipot`` loads none of numpy, dataclasses, inspect and datetime;
+    only the commands that sample load numpy, and only a timestamp loads datetime."""
+
+    #: Modules the import leaves out; ``inspect`` came with ``dataclasses``.
+    UNLOADED = ("numpy", "dataclasses", "inspect", "datetime")
 
     @staticmethod
     def child(code, *argv):
@@ -843,8 +859,11 @@ class TestColdStart:
         )
 
     def test_import_loads_no_numpy(self):
-        proc = self.child("import bactipot, bactipot.cli, sys; print('numpy' in sys.modules)")
-        assert proc.returncode == 0 and proc.stdout == "False\n"
+        proc = self.child(
+            "import bactipot, bactipot.cli, sys\n"
+            f"print(sorted(set({self.UNLOADED!r}) & set(sys.modules)))\n"
+        )
+        assert proc.returncode == 0 and proc.stdout == "[]\n"
 
     def test_a_study_loads_no_executor(self, tmp_path):
         # a study's threads come from threading, which loads anyway;
@@ -879,9 +898,9 @@ class TestColdStart:
         assert status == 0
         proc = self.child(
             "import sys\n"
-            "sys.modules['numpy'] = None  # every import of numpy now raises\n"
-            "from bactipot.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n",
+            f"sys.modules.update(dict.fromkeys({self.UNLOADED!r}))  # each import of them raises\n"
+            "import bactipot.cli\n"
+            "sys.exit(bactipot.cli.main(sys.argv[1:]))\n",
             *argv,
         )
         assert (proc.returncode, proc.stdout) == (0, expected)

@@ -369,6 +369,15 @@ class TestCsvErrors:
         dataset = read_dataset(io.StringIO(text))
         assert len(checked) == 3 and checked == list(dataset.observations)
 
+    @pytest.mark.parametrize(
+        "row", ['1,1,"3\n', '1,1,"3"x\n'], ids=["ends-inside-a-quote", "text-after-a-quote"]
+    )
+    def test_a_quote_must_close_its_field(self, row):
+        # a file cut inside a quoted field once gave a dataset of the rows before the cut
+        with pytest.raises(DatasetFormatError, match="^line 2: malformed CSV: ") as exc_info:
+            read_dataset(io.StringIO("concentration,replicate,ct\n" + row))
+        assert exc_info.value.line == 2
+
     def test_wrong_field_count(self):
         with pytest.raises(DatasetFormatError, match="3 fields"):
             read_dataset(io.StringIO("concentration,replicate,ct\n0.25,1\n"))
