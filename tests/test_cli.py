@@ -372,6 +372,52 @@ def test_fit_output_bytes_are_pinned(run):
     assert digest.hexdigest() == FIT_GOLDEN_SHA256
 
 
+#: README's CLI commands, as argv, with the SHA-256 of the stdout each prints.
+#: ``fit`` is pinned above; ``mc-study`` also runs as JSON, without the
+#: timestamp, and ``design-eval`` also as CSV.
+README_PINS = {
+    "synth": (
+        ["synth", "--alpha", "10", "--beta", "1",
+         "--grid", "2^-7,2^-6,2^-5,2^-4,2^-3,2^-2,2^-1,1,2,4,8,16",
+         "--untreated-lane", "2^-8", "--a", "20", "--sigma-eps", "0.2", "--x0", "10000",
+         "--gens", "10", "--reps", "3", "--seed", "1"],
+        "628848b5f4abcd892b4bc2d1932c1cea98131dc3d61cc7ab9856e894104733cc",
+    ),
+    "mc-study-json": (
+        ["mc-study", "--alpha", "10", "--beta", "1", "--grid", "2^-6,2^-4,2^-2",
+         "--reps", "100", "--measurements", "1000", "--seed", "0", "--no-timestamp"],
+        "05015c99522f45f73fb36130e5722e6c685b6f03e059ac9c6070400c7f390d1f",
+    ),
+    "mc-study-pretty": (
+        ["mc-study", "--alpha", "10", "--beta", "1", "--grid", "2^-6,2^-4,2^-2",
+         "--reps", "100", "--measurements", "1000", "--seed", "0", "--pretty"],
+        "2b38269358e4a2254c112b3c864846fd76fb20de908e197e5dc46df9765a99e6",
+    ),
+    "design-eval-csv": (
+        ["design-eval", "--alpha", "10", "--beta", "1", "--gens", "10", "--sigma-eps", "0.2",
+         "--designs", "2^-6,2^-4,2^-2;2^-2,2^-1,1"],
+        "b8a603f6223b649042463c910bf0bce74dd4d7c9748f59f1de1d82eec8c335e8",
+    ),
+    "design-eval-pretty": (
+        ["design-eval", "--alpha", "10", "--beta", "1", "--gens", "10", "--sigma-eps", "0.2",
+         "--designs", "2^-6,2^-4,2^-2;2^-2,2^-1,1", "--pretty"],
+        "9146f419e867810fabc61aa2a4db43f5a4eab505a5d0913a97f817e62a057daa",
+    ),
+    "curve": (
+        ["curve", "--alpha", "10", "--beta", "1", "--range", "2^-9:1", "--points", "200"],
+        "35d08951e7c321940aca6d6301642918cdd5f9872247e33f96853d203fb607af",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", README_PINS)
+def test_readme_output_bytes_are_pinned(run, name):
+    argv, expected = README_PINS[name]
+    status, out, _ = run(*argv)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 class TestMcStudy:
     def test_small_study_json(self, run):
         status, out, _ = run(
