@@ -90,17 +90,6 @@ class FitResult(NamedTuple):
     used_concentrations: tuple[float, ...]
     excluded: tuple[tuple[float, str], ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "beta_hat": self.beta_hat,
-            "mic_hat": self.mic_hat,
-            "used_concentrations": list(self.used_concentrations),
-            "excluded": [
-                {"concentration": c, "reason": reason} for c, reason in self.excluded
-            ],
-        }
-
 
 class AsymptoticCovariance(NamedTuple):
     """Asymptotic covariance of the scaled estimation errors for one design.
@@ -117,15 +106,6 @@ class AsymptoticCovariance(NamedTuple):
     sigma2_beta: float
     sigma2_theta: float
     k_factors: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma2_alpha": self.sigma2_alpha,
-            "sigma_alphabeta": self.sigma_alphabeta,
-            "sigma2_beta": self.sigma2_beta,
-            "sigma2_theta": self.sigma2_theta,
-            "k_factors": list(self.k_factors),
-        }
 
 
 def mic(alpha: float, beta: float) -> float:

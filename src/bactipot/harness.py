@@ -37,6 +37,7 @@ from .estimators import (
     AsymptoticCovariance,
     FitResult,
     MeanEstimate,
+    _mean_ct,
     asymptotic_covariance,
     estimate_calibration,
     estimate_generations,
@@ -114,18 +115,7 @@ class McStudyReport(NamedTuple):
     n_measurements: int
 
     def to_dict(self) -> dict:
-        return {
-            "mean_alpha": self.mean_alpha,
-            "mean_beta": self.mean_beta,
-            "mean_theta": self.mean_theta,
-            "emp_var_alpha": self.emp_var_alpha,
-            "emp_cov_alphabeta": self.emp_cov_alphabeta,
-            "emp_var_beta": self.emp_var_beta,
-            "emp_var_theta": self.emp_var_theta,
-            "theoretical": self.theoretical.to_dict(),
-            "failures": self.failures,
-            "n_measurements": self.n_measurements,
-        }
+        return {**self._asdict(), "theoretical": self.theoretical._asdict()}
 
 
 class PipelineConfig(_checked_record("high_c_threshold low_c_choice x0 fit_concentrations")):
@@ -187,32 +177,16 @@ class PipelineFit(NamedTuple):
     covariance: AsymptoticCovariance | None
 
     def to_dict(self) -> dict:
-        return {
-            **self.fit.to_dict(),
-            "a_hat": self.a_hat,
-            "sigma_eps_hat": self.sigma_eps_hat,
-            "n_hat": self.n_hat,
-            "n_used": self.n_used,
-            "estimates": [
-                {
-                    "concentration": e.concentration,
-                    "mu_hat": e.mu_hat,
-                    "m_hat": e.m_hat,
-                    "clamped": e.clamped,
-                }
-                for e in self.estimates
-            ],
-            "residuals": [
-                {
-                    "concentration": r.concentration,
-                    "observed_mean_ct": r.observed_mean_ct,
-                    "predicted_ct": r.predicted_ct,
-                    "residual": r.residual,
-                }
-                for r in self.residuals
-            ],
-            "covariance": None if self.covariance is None else self.covariance.to_dict(),
+        payload = {
+            **self.fit._asdict(),
+            "excluded": [{"concentration": c, "reason": why} for c, why in self.fit.excluded],
+            **self._asdict(),
+            "estimates": [e._asdict() for e in self.estimates],
+            "residuals": [{**r._asdict(), "residual": r.residual} for r in self.residuals],
+            "covariance": None if self.covariance is None else self.covariance._asdict(),
         }
+        del payload["fit"]
+        return payload
 
 
 class DesignEvaluation(NamedTuple):
@@ -439,7 +413,7 @@ def fit_dataset(dataset: CtDataset, pipeline: PipelineConfig) -> PipelineFit:
     residuals = tuple(
         CtResidual(
             concentration=c,
-            observed_mean_ct=math.fsum(cts) / len(cts),
+            observed_mean_ct=_mean_ct(cts),
             predicted_ct=a_hat
             - math.log2(pipeline.x0)
             - math.log2(mean_total_from_mean(mean_from_concentration(fitted, c), n_used)),

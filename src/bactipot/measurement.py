@@ -25,7 +25,7 @@ import io
 import math
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .branching import (
     GrowthParams,
@@ -321,9 +321,9 @@ def read_dataset(source: str | Path | IO[str]) -> CtDataset:
             if len(row) != 3:
                 raise DatasetFormatError(f"expected 3 fields, got {len(row)}", line=line)
             yield CtObservation(
-                _parse_float(row[0], "concentration", line),
-                _parse_int(row[1], "replicate", line),
-                _parse_float(row[2], "ct", line),
+                _parse(row[0], float, "number", "concentration", line),
+                _parse(row[1], int, "integer", "replicate", line),
+                _parse(row[2], float, "number", "ct", line),
             )
         line = None
 
@@ -381,21 +381,12 @@ def _check_header(header: Iterable[str]) -> None:
     )
 
 
-def _parse_float(text: str, column: str, line: int) -> float:
+def _parse(text: str, convert: Callable[[str], float], noun: str, column: str, line: int) -> float:
     try:
-        return float(text)
+        return convert(text)
     except ValueError:
         raise DatasetFormatError(
-            f"malformed number {text!r} in column {column!r}", line=line
-        ) from None
-
-
-def _parse_int(text: str, column: str, line: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise DatasetFormatError(
-            f"malformed integer {text!r} in column {column!r}", line=line
+            f"malformed {noun} {text!r} in column {column!r}", line=line
         ) from None
 
 

@@ -305,8 +305,9 @@ class TestCsvErrors:
 
     def test_malformed_replicate(self):
         text = "concentration,replicate,ct\n0.25,first,-10.5\n"
-        with pytest.raises(DatasetFormatError, match="replicate"):
+        with pytest.raises(DatasetFormatError) as exc_info:
             read_dataset(io.StringIO(text))
+        assert str(exc_info.value) == "line 2: malformed integer 'first' in column 'replicate'"
 
     def test_missing_column(self):
         with pytest.raises(DatasetFormatError, match="ct"):
