@@ -372,6 +372,19 @@ def test_fit_output_bytes_are_pinned(run):
     assert digest.hexdigest() == FIT_GOLDEN_SHA256
 
 
+#: SHA-256 of the concatenated ``write_dataset`` text of the 50
+#: ``golden_fit_runs`` plates: the synthesized CSV bytes, and so the random
+#: stream that draws them, must stay as they are.
+SYNTH_GOLDEN_SHA256 = "4da663327476b611f92972e2e56384af40b1efa8b5efc1d84ad800b843724385"
+
+
+def test_synth_csv_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for text, _ in golden_fit_runs():
+        digest.update(text.encode())
+    assert digest.hexdigest() == SYNTH_GOLDEN_SHA256
+
+
 #: README's CLI commands, as argv, with the SHA-256 of the stdout each prints.
 #: ``fit`` is pinned above; ``mc-study`` also runs as JSON, without the
 #: timestamp, and ``design-eval`` also as CSV.

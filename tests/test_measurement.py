@@ -30,6 +30,27 @@ from bactipot.measurement import _format_float
 TWIN = 2**-5 * (1 + 1e-10)
 
 
+def reference_first_fault(rows):
+    """The message a dataset of ``rows`` is refused with, or None: the rows
+    walked in order against a seen-set, then the grid's twins."""
+    seen = set()
+    for c, replicate, ct in rows:
+        if not 0.0 < c < math.inf:
+            return f"concentration must be finite and positive, got {c!r}"
+        if replicate < 1:
+            return f"replicate must be >= 1, got {replicate!r}"
+        if not math.isfinite(ct):
+            return f"ct must be finite, got {ct!r}"
+        if (c, replicate) in seen:
+            return f"duplicate (concentration, replicate) pair {(c, replicate)!r}"
+        seen.add((c, replicate))
+    lanes = sorted({c for c, _ in seen})
+    for a, b in zip(lanes, lanes[1:]):
+        if math.isclose(a, b, rel_tol=1e-9):
+            return f"concentrations {a!r} and {b!r} are distinct but name the same lane"
+    return None
+
+
 def noiseless_config(**overrides):
     base = dict(a=0.0, sigma_eps=0.0, x0=10_000, n_generations=10, replicates=3)
     base.update(overrides)
@@ -212,6 +233,31 @@ class TestDatasetType:
         dataset = CtDataset((CtObservation(2**-5, 1, -10.0), CtObservation(near, 1, -11.0)))
         assert dataset.grouped() == {2**-5: (-10.0,), near: (-11.0,)}
         assert dataset.cts_at(2**-5) == (-10.0,)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.25, 0.5, 2**-5, TWIN, 0.0, -0.25, math.inf, math.nan]),
+                st.integers(min_value=-1, max_value=3),
+                st.one_of(st.sampled_from([-10.0, -9.5]), st.floats()),
+            ),
+            max_size=10,
+        )
+    )
+    @example([(0.25, 1, -10.0), (0.25, 0, math.nan), (0.25, 1, -9.5)])
+    @example([(0.5, 1, -10.0), (0.25, 2, -9.5), (0.5, 1, math.inf)])
+    @example([(0.25, 1, -10.0), (2**-5, 1, -9.5), (TWIN, 2, -9.5)])
+    @settings(max_examples=300)
+    def test_rows_give_their_columns_or_the_first_fault(self, rows):
+        expected = reference_first_fault(rows)
+        try:
+            dataset = CtDataset(CtObservation(*row) for row in rows)
+        except InvalidParameterError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert tuple(zip(*dataset.observations)) == tuple(zip(*rows))
+            assert dataset == CtDataset(tuple(map(CtObservation._make, rows)))
 
     def test_lane_lookup_follows_the_concentration_rule(self):
         dataset = CtDataset((CtObservation(0.5, 1, -1.0), CtObservation(0.5, 2, -3.0)))
