@@ -132,7 +132,7 @@ def dist_from_mean(mean: float) -> OffspringDistribution:
     """
     _check_mean(mean)
     half = mean / 2.0
-    return OffspringDistribution(1.0 - half, 0.0, half)
+    return tuple.__new__(OffspringDistribution, (1.0 - half, 0.0, half))  # valid, by _check_mean
 
 
 def mean_total(dist: OffspringDistribution, n_generations: int) -> float:
@@ -252,7 +252,8 @@ def advance(
     import numpy as np
     _check_generations(n_generations, minimum=0)
     alive = np.asarray(alive, dtype=np.int64)
-    dead = np.asarray(dead, dtype=np.int64)
+    # live plus dead: a generation adds its divisions D2 to it, in either law
+    total = alive + np.asarray(dead, dtype=np.int64)
     general = np.count_nonzero(p1) > 0
     if general:
         # renormalize away the <=1e-12 slack allowed by OffspringDistribution
@@ -265,7 +266,7 @@ def advance(
     top_alive = top_dead = _STEP_SAFE_TOTAL
     for _ in range(n_generations):
         if top_alive + top_dead > _STEP_SAFE_TOTAL:
-            top_alive, top_dead = int(alive.max(initial=0)), int(dead.max(initial=0))
+            top_alive, top_dead = int(alive.max(initial=0)), int((total - alive).max(initial=0))
             if top_alive + top_dead > _STEP_SAFE_TOTAL:
                 raise CountOverflowError(
                     f"total count may overflow {MAX_COUNT} in one generation"
@@ -274,12 +275,13 @@ def advance(
             d0 = rng.binomial(alive, p_die)
             d1 = rng.binomial(alive - d0, p_stay)
             d2 = alive - d0 - d1
-            alive, dead = d1 + 2 * d2, dead + d0
+            alive = d1 + 2 * d2
         else:
             d2 = rng.binomial(alive, p2)
-            alive, dead = 2 * d2, dead + (alive - d2)
+            alive = d2 + d2
+        total = total + d2
         top_alive, top_dead = 2 * top_alive, top_dead + top_alive
-    return alive, dead
+    return alive, total - alive
 
 
 def simulate(
@@ -347,10 +349,9 @@ def simulate_batch(
         probs = (dist.p0, dist.p1, dist.p2)
     else:
         shape = (len(dist), replicates)
-        table = np.array([(d.p0, d.p1, d.p2) for d in dist], dtype=float).reshape(-1, 3)
         # one contiguous (lanes, 1) column per fate probability: the binomial
         # sampler is markedly slower on strided probabilities
-        probs = np.ascontiguousarray(table.T)[..., None]
+        probs = np.array(list(zip(*dist)), dtype=float).reshape(3, -1, 1)
     alive = np.full(shape, x0, dtype=np.int64)
     return advance(alive, np.zeros_like(alive), *probs, n_generations, rng)
 

@@ -118,67 +118,91 @@ class CtObservation(NamedTuple):
     ct: float
 
 
-def _check_observation(obs: CtObservation, seen: set) -> None:
-    # the row rules, and the pair rule against ``seen``, which gains the pair
-    concentration, replicate, ct = obs
-    key = (concentration, replicate)
-    if not 0.0 < concentration < math.inf:
-        problem = f"concentration must be finite and positive, got {concentration!r}"
-    elif replicate < 1:
-        problem = f"replicate must be >= 1, got {replicate!r}"
-    elif not math.isfinite(ct):
-        problem = f"ct must be finite, got {ct!r}"
-    elif key in seen:
-        problem = f"duplicate (concentration, replicate) pair {key!r}"
-    else:
-        seen.add(key)
+def _check_columns(concentration, replicate, ct, lines: Sequence[int] | None = None) -> None:
+    # the row rules, each once over a whole column; only if one fails are the rows
+    # walked in order, to report the first faulty row (by its line, given ``lines``)
+    if (
+        all(0.0 < c < math.inf for c in set(concentration))
+        and min(replicate, default=1) >= 1
+        and all(map(math.isfinite, ct))
+        and len(set(zip(concentration, replicate))) == len(ct)
+    ):
         return
-    raise InvalidParameterError(problem)
+    seen: set[tuple[float, int]] = set()
+    for i, (c, r, x) in enumerate(zip(concentration, replicate, ct)):
+        if not 0.0 < c < math.inf:
+            problem = f"concentration must be finite and positive, got {c!r}"
+        elif r < 1:
+            problem = f"replicate must be >= 1, got {r!r}"
+        elif not math.isfinite(x):
+            problem = f"ct must be finite, got {x!r}"
+        elif (c, r) in seen:
+            problem = f"duplicate (concentration, replicate) pair {(c, r)!r}"
+        else:
+            seen.add((c, r))
+            continue
+        if lines is None:
+            raise InvalidParameterError(problem)
+        raise DatasetFormatError(problem, line=lines[i])
 
 
 class CtDataset:
     """An ordered collection of Ct observations over a concentration grid.
 
-    Each (concentration, replicate) pair appears at most once, and no two
-    distinct concentrations name the same lane by ``same_concentration``.
-    ``config`` is carried along for synthetic data and absent (None) for
-    ingested lab data.
+    The wells are held as three equal-length tuples, ``concentration``,
+    ``replicate`` and ``ct``, in input order. Each (concentration, replicate)
+    pair appears at most once, and no two distinct concentrations name the
+    same lane by ``same_concentration``. ``config`` is carried along for
+    synthetic data and absent (None) for ingested lab data.
     """
 
-    __slots__ = ("observations", "config", "_lanes")
+    __slots__ = ("concentration", "replicate", "ct", "config", "_lanes")
 
-    def __init__(
-        self, observations: Iterable[CtObservation], config: MeasurementConfig | None = None
+    def __new__(
+        cls, observations: Iterable[CtObservation], config: MeasurementConfig | None = None
     ):
-        # the one pass over the rows, which a file's reader parses as this
-        # pass reaches them: their rules, and the lanes in input order
-        rows = []
-        seen: set[tuple[float, int]] = set()
-        lanes: dict[float, list[float]] = {}
-        for obs in observations:
-            _check_observation(obs, seen)
-            rows.append(obs)
-            lanes.setdefault(obs.concentration, []).append(obs.ct)
-        order = sorted(lanes)
+        # the rows as columns; zip's strict refuses rows of unequal lengths
+        concentration, replicate, ct = tuple(zip(*observations, strict=True)) or ((), (), ())
+        return cls._from_columns(concentration, replicate, ct, config)
+
+    @classmethod
+    def _from_columns(cls, concentration, replicate, ct, config, lines=None) -> CtDataset:
+        # the one constructor, for producers that hold the columns already
+        _check_columns(concentration, replicate, ct, lines)
+        order = sorted(set(concentration))
         if order:
             check_grid(order)
-        object.__setattr__(self, "observations", tuple(rows))
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "_lanes", {c: tuple(lanes[c]) for c in order})
+        lanes: dict[float, list[float]] = {c: [] for c in order}
+        for c, x in zip(concentration, ct):
+            lanes[c].append(x)
+        self = object.__new__(cls)
+        lanes = {c: tuple(cts) for c, cts in lanes.items()}
+        columns = (tuple(concentration), tuple(replicate), tuple(ct))
+        for name, value in zip(cls.__slots__, (*columns, config, lanes)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
+    @property
+    def observations(self) -> tuple[CtObservation, ...]:
+        """The wells as ``CtObservation`` rows, built from the columns on each access."""
+        return tuple(map(CtObservation, self.concentration, self.replicate, self.ct))
+
+    def _key(self) -> tuple:
+        return (self.concentration, self.replicate, self.ct, self.config)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.observations, self.config) == (other.observations, other.config)
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.observations, self.config))
+        return hash(self._key())
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.ct)
 
     def concentrations(self) -> tuple[float, ...]:
         """Distinct concentrations in increasing order."""
@@ -213,7 +237,7 @@ def synthesize_ct(
     """
     import numpy as np
     totals = np.asarray(total_count, dtype=float)
-    if not np.all(totals >= 1.0):
+    if not totals.min(initial=1.0) >= 1.0:  # NaN fails, as in every comparison
         raise InvalidParameterError(f"total_count must be >= 1, got {float(np.min(totals))!r}")
     cts = config.a - np.log2(totals) + config.sigma_eps * rng.standard_normal(totals.shape)
     return float(cts) if cts.ndim == 0 else cts
@@ -277,14 +301,12 @@ def simulate_experiment(
             )
         lanes.insert(0, untreated_lane)
         means.insert(0, 2.0)
-    cts = synthesize_plates(means, config, 1, rng)[0].tolist()
-    return CtDataset(
-        tuple(
-            CtObservation(c, i + 1, ct)
-            for c, row in zip(lanes, cts)
-            for i, ct in enumerate(row)
-        ),
-        config=config,
+    cts = synthesize_plates(means, config, 1, rng)[0]
+    return CtDataset._from_columns(
+        tuple(sorted(lanes * config.replicates)),  # lanes increase: one per well, in a row
+        tuple(range(1, config.replicates + 1)) * len(lanes),
+        tuple(cts.ravel().tolist()),
+        config,
     )
 
 
@@ -308,39 +330,38 @@ def read_dataset(source: str | Path | IO[str]) -> CtDataset:
             number, out-of-domain value, duplicate (concentration, replicate)
             pair, or two distinct concentrations that name the same lane.
     """
-    # the data rows, parsed as CtDataset's one pass reaches them; ``line``
-    # names the row that pass checks, and is None once every row is read
-    line = None
-
-    def rows(reader) -> Iterator[CtObservation]:
-        nonlocal line
-        for row in reader:
-            line = reader.line_num  # a quoted field may span lines; name the last
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DatasetFormatError(f"expected 3 fields, got {len(row)}", line=line)
-            yield CtObservation(
-                _parse(row[0], float, "number", "concentration", line),
-                _parse(row[1], int, "integer", "replicate", line),
-                _parse(row[2], float, "number", "ct", line),
-            )
-        line = None
-
+    concentration, replicate, ct, lines = [], [], [], []
     with _open_text(source, "r") as stream:
         reader = csv.reader(stream, strict=True)  # so an unclosed quote is an error
         try:
             header = next(reader, None)
             if header is None:
                 raise DatasetFormatError("empty file: missing header")
+            if header:  # less one leading byte-order mark, as Excel's "CSV UTF-8" writes
+                header[0] = header[0].removeprefix("\ufeff")
             _check_header(header)
-            return CtDataset(rows(reader), config=None)
+            for row in filter(None, reader):  # a blank line holds no row
+                line = reader.line_num  # a quoted field may span lines; name the last
+                if len(row) != 3:
+                    raise DatasetFormatError(f"expected 3 fields, got {len(row)}", line=line)
+                concentration.append(_parse(row[0], float, "number", "concentration", line))
+                replicate.append(_parse(row[1], int, "integer", "replicate", line))
+                ct.append(_parse(row[2], float, "number", "ct", line))
+                lines.append(line)
         except csv.Error as exc:
-            raise DatasetFormatError(f"malformed CSV: {exc}", line=reader.line_num) from None
+            fault = DatasetFormatError(f"malformed CSV: {exc}", line=reader.line_num)
         except UnicodeDecodeError as exc:
-            raise DatasetFormatError(f"text is not UTF-8: {exc.reason}") from None
-        except InvalidParameterError as exc:  # a row's rule, or two concentrations naming one lane
-            raise DatasetFormatError(str(exc), line=line) from None
+            fault = DatasetFormatError(f"text is not UTF-8: {exc.reason}")
+        except DatasetFormatError as exc:
+            fault = exc
+        else:
+            try:
+                return CtDataset._from_columns(concentration, replicate, ct, None, lines)
+            except InvalidParameterError as exc:  # two concentrations naming one lane
+                raise DatasetFormatError(str(exc)) from None
+    n = len(lines)  # the rows read whole: a rule fault among them comes first
+    _check_columns(concentration[:n], replicate[:n], ct[:n], lines)
+    raise fault
 
 
 def write_dataset(dataset: CtDataset, sink: str | Path | IO[str]) -> None:
@@ -349,11 +370,14 @@ def write_dataset(dataset: CtDataset, sink: str | Path | IO[str]) -> None:
     Floats are rendered in canonical positional-decimal form: the shortest
     decimal literal that round-trips exactly, never exponent notation.
     """
-    # no field holds a comma, quote or newline, so none needs quoting
-    text = "".join(
-        f"{_format_float(c)},{replicate},{_format_float(ct)}\n"
-        for c, replicate, ct in dataset.observations
-    )
+    # repr writes a float as _format_float does unless it writes an exponent;
+    # each lane is formatted once, and no field holds a comma, quote or newline
+    for form in (repr, _format_float):
+        lanes = {c: form(float(c)) for c in dataset._lanes}
+        rows = zip(dataset.concentration, dataset.replicate, map(form, map(float, dataset.ct)))
+        text = "".join([f"{lanes[c]},{r},{x}\n" for c, r, x in rows])
+        if "e" not in text:
+            break
     with _open_text(sink, "w") as stream:
         stream.write(",".join(CSV_COLUMNS) + "\n" + text)
 

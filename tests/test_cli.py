@@ -211,6 +211,26 @@ class TestSynthAndFit:
         assert payload["used_concentrations"] == [2**-5, 2**-4, 2**-2, 2**-1]
         assert payload["covariance"] is not None
 
+    @pytest.mark.parametrize("source", ["stdin", "path"])
+    def test_fit_accepts_a_byte_order_mark(self, run, tmp_path, source):
+        # Excel's "CSV UTF-8" export starts the file with U+FEFF
+        _, dataset_csv, _ = run(
+            "synth",
+            "--alpha", "10", "--beta", "1",
+            "--grid", "2^-7,2^-6,2^-5,2^-4,2^-3,2^-2,2^-1,1,2,4,8,16",
+            "--a", "20", "--seed", "2",
+        )
+        argv = ["fit", "--high-c", "2", "--low-c", "2^-7", "--x0", "10000", "--no-timestamp"]
+        _, plain, _ = run(*argv, "--input", "-", stdin=dataset_csv)
+        if source == "stdin":
+            status, out, err = run(*argv, "--input", "-", stdin="\ufeff" + dataset_csv)
+        else:
+            path = tmp_path / "plate.csv"
+            path.write_bytes(b"\xef\xbb\xbf" + dataset_csv.encode())
+            status, out, err = run(*argv, "--input", str(path))
+        assert (status, err) == (0, "")
+        assert out == plain and json.loads(out)["n_used"] > 0
+
     def test_synth_fit_pipe_noisy_within_band(self, run):
         # realistic noise: the recovered scale parameter lands inside the
         # reported 3 sigma / sqrt(N) plug-in band

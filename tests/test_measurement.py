@@ -335,6 +335,18 @@ class TestCsvRoundTrip:
         # the positional form numpy's shortest-repr formatter gives, byte for byte
         assert _format_float(value) == np.format_float_positional(value, unique=True, trim="0")
 
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with U+FEFF
+        text = "concentration,replicate,ct\n0.25,1,-10.5\n"
+        expected = read_dataset(io.StringIO(text))
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert read_dataset(path) == expected
+        assert read_dataset(io.StringIO("\ufeff" + text)) == expected
+        # one mark, at the start of the first name, and no more
+        with pytest.raises(DatasetFormatError, match=r"^line 1: missing column\(s\) \['concentration'\]"):
+            read_dataset(io.StringIO("\ufeff\ufeff" + text))
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "lanes.csv"
         dataset = CtDataset((CtObservation(0.125, 1, -12.75),))
@@ -402,19 +414,25 @@ class TestCsvErrors:
             read_dataset(io.StringIO(text))
         assert str(exc_info.value) == expected
 
-    def test_each_row_is_checked_once(self, monkeypatch):
+    def test_the_columns_are_checked_once(self, monkeypatch):
+        # one check of the parsed columns per file, whether it holds or a
+        # later row fails to parse
         from bactipot import measurement
 
         checked = []
-        check = measurement._check_observation
-        def counted(obs, seen):
-            checked.append(obs)
-            check(obs, seen)
+        check = measurement._check_columns
+        def counted(*columns):
+            checked.append(tuple(map(tuple, columns[:3])))
+            check(*columns)
 
-        monkeypatch.setattr(measurement, "_check_observation", counted)
+        monkeypatch.setattr(measurement, "_check_columns", counted)
         text = "concentration,replicate,ct\n0.25,1,-10.5\n0.25,2,-10.6\n0.5,1,-9.0\n"
         dataset = read_dataset(io.StringIO(text))
-        assert len(checked) == 3 and checked == list(dataset.observations)
+        assert checked == [(dataset.concentration, dataset.replicate, dataset.ct)]
+        checked.clear()
+        with pytest.raises(DatasetFormatError, match="^line 3: malformed number 'oops'"):
+            read_dataset(io.StringIO("concentration,replicate,ct\n0.25,1,-10.5\noops,1,-9.0\n"))
+        assert checked == [((0.25,), (1,), (-10.5,))]
 
     @pytest.mark.parametrize(
         "row", ['1,1,"3\n', '1,1,"3"x\n'], ids=["ends-inside-a-quote", "text-after-a-quote"]
