@@ -252,8 +252,7 @@ def advance(
     import numpy as np
     _check_generations(n_generations, minimum=0)
     alive = np.asarray(alive, dtype=np.int64)
-    # live plus dead: a generation adds its divisions D2 to it, in either law
-    total = alive + np.asarray(dead, dtype=np.int64)
+    total = alive + np.asarray(dead, dtype=np.int64)  # each generation adds its D2
     general = np.count_nonzero(p1) > 0
     if general:
         # renormalize away the <=1e-12 slack allowed by OffspringDistribution

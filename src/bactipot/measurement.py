@@ -131,19 +131,17 @@ def _check_columns(concentration, replicate, ct, lines: Sequence[int] | None = N
     seen: set[tuple[float, int]] = set()
     for i, (c, r, x) in enumerate(zip(concentration, replicate, ct)):
         if not 0.0 < c < math.inf:
-            problem = f"concentration must be finite and positive, got {c!r}"
+            error = f"concentration must be finite and positive, got {c!r}"
         elif r < 1:
-            problem = f"replicate must be >= 1, got {r!r}"
+            error = f"replicate must be >= 1, got {r!r}"
         elif not math.isfinite(x):
-            problem = f"ct must be finite, got {x!r}"
+            error = f"ct must be finite, got {x!r}"
         elif (c, r) in seen:
-            problem = f"duplicate (concentration, replicate) pair {(c, r)!r}"
+            error = f"duplicate (concentration, replicate) pair {(c, r)!r}"
         else:
             seen.add((c, r))
             continue
-        if lines is None:
-            raise InvalidParameterError(problem)
-        raise DatasetFormatError(problem, line=lines[i])
+        raise DatasetFormatError(error, line=lines[i]) if lines else InvalidParameterError(error)
 
 
 class CtDataset:
@@ -161,24 +159,18 @@ class CtDataset:
     def __new__(
         cls, observations: Iterable[CtObservation], config: MeasurementConfig | None = None
     ):
-        # the rows as columns; zip's strict refuses rows of unequal lengths
+        # rows to columns, for the one constructor; zip's strict refuses ragged rows
         concentration, replicate, ct = tuple(zip(*observations, strict=True)) or ((), (), ())
         return cls._from_columns(concentration, replicate, ct, config)
 
     @classmethod
     def _from_columns(cls, concentration, replicate, ct, config, lines=None) -> CtDataset:
-        # the one constructor, for producers that hold the columns already
         _check_columns(concentration, replicate, ct, lines)
-        order = sorted(set(concentration))
-        if order:
-            check_grid(order)
-        lanes: dict[float, list[float]] = {c: [] for c in order}
-        for c, x in zip(concentration, ct):
-            lanes[c].append(x)
+        if concentration:
+            check_grid(sorted(set(concentration)))
         self = object.__new__(cls)
-        lanes = {c: tuple(cts) for c, cts in lanes.items()}
-        columns = (tuple(concentration), tuple(replicate), tuple(ct))
-        for name, value in zip(cls.__slots__, (*columns, config, lanes)):
+        values = (tuple(concentration), tuple(replicate), tuple(ct), config, None)
+        for name, value in zip(cls.__slots__, values):
             object.__setattr__(self, name, value)
         return self
 
@@ -204,20 +196,29 @@ class CtDataset:
     def __len__(self) -> int:
         return len(self.ct)
 
+    def _lane_map(self) -> dict[float, tuple[float, ...]]:
+        # the lanes, grouped on first use: a plate synthesized and written is never grouped
+        if self._lanes is None:
+            lanes: dict[float, list[float]] = {c: [] for c in sorted(set(self.concentration))}
+            for c, x in zip(self.concentration, self.ct):
+                lanes[c].append(x)
+            object.__setattr__(self, "_lanes", {c: tuple(cts) for c, cts in lanes.items()})
+        return self._lanes
+
     def concentrations(self) -> tuple[float, ...]:
         """Distinct concentrations in increasing order."""
-        return tuple(self._lanes)
+        return tuple(self._lane_map())
 
     def cts_at(self, concentration: float) -> tuple[float, ...]:
         """Ct values of the lane ``same_concentration`` matches, in input order."""
-        for lane, cts in self._lanes.items():
+        for lane, cts in self._lane_map().items():
             if same_concentration(lane, concentration):
                 return cts
         return ()
 
     def grouped(self) -> dict[float, tuple[float, ...]]:
         """A copy of the lanes: Ct values by exact recorded concentration, increasing."""
-        return dict(self._lanes)
+        return dict(self._lane_map())
 
 
 def synthesize_ct(
@@ -373,7 +374,7 @@ def write_dataset(dataset: CtDataset, sink: str | Path | IO[str]) -> None:
     # repr writes a float as _format_float does unless it writes an exponent;
     # each lane is formatted once, and no field holds a comma, quote or newline
     for form in (repr, _format_float):
-        lanes = {c: form(float(c)) for c in dataset._lanes}
+        lanes = {c: form(float(c)) for c in set(dataset.concentration)}
         rows = zip(dataset.concentration, dataset.replicate, map(form, map(float, dataset.ct)))
         text = "".join([f"{lanes[c]},{r},{x}\n" for c, r, x in rows])
         if "e" not in text:
