@@ -49,7 +49,7 @@ from .estimators import (
     mic,
     round_generations,
 )
-from .measurement import CtDataset, MeasurementConfig, check_grid, synthesize_plates
+from .measurement import CtDataset, MeasurementConfig, _lane_at, check_grid, synthesize_plates
 from .seeding import spawn_rng
 
 if TYPE_CHECKING:
@@ -385,7 +385,7 @@ def fit_dataset(dataset: CtDataset, pipeline: PipelineConfig) -> PipelineFit:
         raise InsufficientDataError(
             f"no lanes at concentration >= {pipeline.high_c_threshold!r}"
         )
-    low_cts = dataset.cts_at(pipeline.low_c_choice)
+    low_cts = _lane_at(groups, pipeline.low_c_choice)
     if not low_cts:
         raise InsufficientDataError(
             f"no lane at concentration {pipeline.low_c_choice!r}; grid is {sorted(groups)!r}"

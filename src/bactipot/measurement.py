@@ -144,81 +144,59 @@ def _check_columns(concentration, replicate, ct, lines: Sequence[int] | None = N
         raise DatasetFormatError(error, line=lines[i]) if lines else InvalidParameterError(error)
 
 
-class CtDataset:
-    """An ordered collection of Ct observations over a concentration grid.
+class CtDataset(_checked_record("concentration replicate ct config")):
+    """A plate: Ct observations over a concentration grid, held as three columns.
 
-    The wells are held as three equal-length tuples, ``concentration``,
-    ``replicate`` and ``ct``, in input order. Each (concentration, replicate)
-    pair appears at most once, and no two distinct concentrations name the
-    same lane by ``same_concentration``. ``config`` is carried along for
-    synthetic data and absent (None) for ingested lab data.
+    ``concentration``, ``replicate`` and ``ct`` are equal-length tuples, one
+    entry per well, in input order. Each (concentration, replicate) pair
+    appears at most once, and no two distinct concentrations name the same
+    lane by ``same_concentration``. ``config`` is carried along for synthetic
+    data and absent (None) for ingested lab data. ``len`` is the well count,
+    while ``tuple(dataset)`` is the four fields.
     """
 
-    __slots__ = ("concentration", "replicate", "ct", "config", "_lanes")
+    __slots__ = ()
 
-    def __new__(
-        cls, observations: Iterable[CtObservation], config: MeasurementConfig | None = None
-    ):
-        # rows to columns, for the one constructor; zip's strict refuses ragged rows
-        concentration, replicate, ct = tuple(zip(*observations, strict=True)) or ((), (), ())
-        return cls._from_columns(concentration, replicate, ct, config)
-
-    @classmethod
-    def _from_columns(cls, concentration, replicate, ct, config, lines=None) -> CtDataset:
-        _check_columns(concentration, replicate, ct, lines)
-        if concentration:
-            check_grid(sorted(set(concentration)))
-        self = object.__new__(cls)
-        values = (tuple(concentration), tuple(replicate), tuple(ct), config, None)
-        for name, value in zip(cls.__slots__, values):
-            object.__setattr__(self, name, value)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __new__(cls, concentration, replicate, ct, config: MeasurementConfig | None = None):
+        columns = tuple(concentration), tuple(replicate), tuple(ct)
+        lengths = tuple(map(len, columns))
+        if min(lengths) != max(lengths):
+            raise InvalidParameterError(f"columns must be of equal length, got {lengths!r}")
+        _check_columns(*columns)
+        if columns[0]:
+            check_grid(sorted(set(columns[0])))
+        return super().__new__(cls, *columns, config)
 
     @property
     def observations(self) -> tuple[CtObservation, ...]:
         """The wells as ``CtObservation`` rows, built from the columns on each access."""
         return tuple(map(CtObservation, self.concentration, self.replicate, self.ct))
 
-    def _key(self) -> tuple:
-        return (self.concentration, self.replicate, self.ct, self.config)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __len__(self) -> int:
         return len(self.ct)
 
-    def _lane_map(self) -> dict[float, tuple[float, ...]]:
-        # the lanes, grouped on first use: a plate synthesized and written is never grouped
-        if self._lanes is None:
-            lanes: dict[float, list[float]] = {c: [] for c in sorted(set(self.concentration))}
-            for c, x in zip(self.concentration, self.ct):
-                lanes[c].append(x)
-            object.__setattr__(self, "_lanes", {c: tuple(cts) for c, cts in lanes.items()})
-        return self._lanes
-
     def concentrations(self) -> tuple[float, ...]:
         """Distinct concentrations in increasing order."""
-        return tuple(self._lane_map())
+        return tuple(sorted(set(self.concentration)))
 
     def cts_at(self, concentration: float) -> tuple[float, ...]:
         """Ct values of the lane ``same_concentration`` matches, in input order."""
-        for lane, cts in self._lane_map().items():
-            if same_concentration(lane, concentration):
-                return cts
-        return ()
+        return _lane_at(self.grouped(), concentration)
 
     def grouped(self) -> dict[float, tuple[float, ...]]:
-        """A copy of the lanes: Ct values by exact recorded concentration, increasing."""
-        return dict(self._lane_map())
+        """The lanes, grouped anew on each call: Ct values by exact concentration, increasing."""
+        lanes: dict[float, list[float]] = {c: [] for c in sorted(set(self.concentration))}
+        for c, x in zip(self.concentration, self.ct):
+            lanes[c].append(x)
+        return {c: tuple(cts) for c, cts in lanes.items()}
+
+
+def _lane_at(lanes: dict[float, tuple[float, ...]], concentration: float) -> tuple[float, ...]:
+    # the Ct values of the lane in ``grouped()`` that ``same_concentration`` matches, or ()
+    for lane, cts in lanes.items():
+        if same_concentration(lane, concentration):
+            return cts
+    return ()
 
 
 def synthesize_ct(
@@ -300,13 +278,14 @@ def simulate_experiment(
             raise InvalidParameterError(
                 "untreated sentinel concentration must lie strictly below the grid"
             )
+        check_grid([untreated_lane, *lanes])  # nor a twin of the lowest lane
         lanes.insert(0, untreated_lane)
         means.insert(0, 2.0)
     cts = synthesize_plates(means, config, 1, rng)[0]
-    return CtDataset._from_columns(
-        tuple(sorted(lanes * config.replicates)),  # lanes increase: one per well, in a row
+    return CtDataset(
+        sorted(lanes * config.replicates),  # lanes increase: one per well, in a row
         tuple(range(1, config.replicates + 1)) * len(lanes),
-        tuple(cts.ravel().tolist()),
+        cts.ravel().tolist(),
         config,
     )
 
@@ -357,10 +336,10 @@ def read_dataset(source: str | Path | IO[str]) -> CtDataset:
             fault = exc
         else:
             try:
-                return CtDataset._from_columns(concentration, replicate, ct, None, lines)
-            except InvalidParameterError as exc:  # two concentrations naming one lane
-                raise DatasetFormatError(str(exc)) from None
-    n = len(lines)  # the rows read whole: a rule fault among them comes first
+                return CtDataset(concentration, replicate, ct)
+            except InvalidParameterError as exc:  # a faulty row, or twin lanes
+                fault = DatasetFormatError(str(exc))
+    n = len(lines)  # the rows read whole: a row's fault, by its line, comes first
     _check_columns(concentration[:n], replicate[:n], ct[:n], lines)
     raise fault
 

@@ -9,9 +9,7 @@ import threading
 import pytest
 
 from bactipot import (
-    CtDataset,
     asymptotic_covariance,
-    CtObservation,
     DesignEvaluation,
     GrowthParams,
     InsufficientDataError,
@@ -31,6 +29,7 @@ from bactipot import (
 )
 from bactipot import harness
 from bactipot.harness import MC_BLOCK
+from helpers import plate
 
 REFERENCE_DESIGN = (2**-6, 2**-4, 2**-2)
 
@@ -286,19 +285,19 @@ class TestFitDataset:
         # their targets exactly, and the fit recovers the curve up to the
         # branching fluctuation of the interior lanes (~1/sqrt(x0))
         a, x0, n = 20.0, 10**6, 10
-        observations = []
+        rows = []
         for c in (8.0, 16.0):
             for rep in (1, 2, 3):
-                observations.append(CtObservation(c, rep, a - math.log2(x0)))
+                rows.append((c, rep, a - math.log2(x0)))
         for rep in (1, 2, 3):
-            observations.append(CtObservation(2**-8, rep, a - math.log2(x0 * 2**n)))
+            rows.append((2**-8, rep, a - math.log2(x0 * 2**n)))
         interior = simulate_experiment(
             GrowthParams(10.0, 1.0),
             [2.0**k for k in range(-7, 0)],
             MeasurementConfig(a=a, sigma_eps=0.0, x0=x0, n_generations=n, replicates=3),
             spawn_rng(3),
         )
-        dataset = CtDataset(tuple(observations) + interior.observations)
+        dataset = plate([*rows, *zip(interior.concentration, interior.replicate, interior.ct)])
         pipeline = PipelineConfig(high_c_threshold=8.0, low_c_choice=2**-8, x0=x0)
         result = fit_dataset(dataset, pipeline)
         assert result.sigma_eps_hat == 0.0
@@ -314,16 +313,16 @@ class TestFitDataset:
         # calibration is exact, but the noise estimate of ~1.4e153 overflows
         # the covariance, so the fit is reported without one
         a, x0, spread = 20.0, 2**20, 1e153
-        observations = [CtObservation(2**-8, rep, a - 30.0) for rep in (1, 2)]
+        rows = [(2**-8, rep, a - 30.0) for rep in (1, 2)]
         for c in (8.0, 16.0):
-            observations += [CtObservation(c, 1, spread), CtObservation(c, 2, -spread)]
+            rows += [(c, 1, spread), (c, 2, -spread)]
         interior = simulate_experiment(
             GrowthParams(10.0, 1.0),
             [2.0**k for k in range(-7, 0)],
             MeasurementConfig(a=a, sigma_eps=0.0, x0=x0, n_generations=10, replicates=2),
             spawn_rng(3),
         )
-        dataset = CtDataset(tuple(observations) + interior.observations)
+        dataset = plate([*rows, *zip(interior.concentration, interior.replicate, interior.ct)])
         pipeline = PipelineConfig(high_c_threshold=8.0, low_c_choice=2**-8, x0=x0)
         result = fit_dataset(dataset, pipeline)
         assert result.a_hat == a and result.n_used == 10
@@ -410,24 +409,20 @@ class TestFitDataset:
 
     def test_degenerate_low_lane_is_an_error(self):
         # a dataset whose "free growth" lane never grew: n rounds to zero
-        observations = []
+        rows = []
         for i, c in enumerate([0.5, 1.0, 2.0, 4.0]):
             for rep in (1, 2, 3):
-                observations.append(CtObservation(c, rep, -math.log2(10**4)))
-        dataset = CtDataset(tuple(observations))
+                rows.append((c, rep, -math.log2(10**4)))
+        dataset = plate(rows)
         pipeline = PipelineConfig(high_c_threshold=1.0, low_c_choice=0.5, x0=10_000)
         with pytest.raises(InsufficientDataError, match="implausible"):
             fit_dataset(dataset, pipeline)
 
     def test_corrupt_low_lane_is_an_error(self):
         # a wildly negative Ct implies thousands of generations
-        observations = [
-            CtObservation(c, rep, -math.log2(10**4))
-            for c in (0.5, 1.0, 2.0)
-            for rep in (1, 2)
-        ]
-        observations += [CtObservation(0.25, rep, -4000.0) for rep in (1, 2)]
-        dataset = CtDataset(tuple(observations))
+        rows = [(c, rep, -math.log2(10**4)) for c in (0.5, 1.0, 2.0) for rep in (1, 2)]
+        rows += [(0.25, rep, -4000.0) for rep in (1, 2)]
+        dataset = plate(rows)
         pipeline = PipelineConfig(high_c_threshold=0.5, low_c_choice=0.25, x0=10_000)
         with pytest.raises(InsufficientDataError, match="implausible"):
             fit_dataset(dataset, pipeline)

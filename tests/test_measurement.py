@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bactipot import (
     CSV_COLUMNS,
     CtDataset,
-    CtObservation,
     DatasetFormatError,
     GrowthParams,
     InvalidParameterError,
@@ -24,6 +23,7 @@ from bactipot import (
     write_dataset,
 )
 from bactipot.measurement import _format_float
+from helpers import plate
 
 
 #: Names the lane at 2**-5 by ``same_concentration`` without being equal to it.
@@ -164,6 +164,21 @@ class TestSimulateExperiment:
                 GrowthParams(10, 1), [0.25], noiseless_config(), spawn_rng(2), untreated_lane=0.5
             )
 
+    def test_twin_sentinel_is_refused_before_any_draw(self):
+        # a sentinel a relative 1e-10 below the grid names the grid's lowest lane
+        rng = spawn_rng(2)
+        state = rng.bit_generator.state
+        message = r"^concentrations 0\.249999999975 and 0\.25 are distinct but name the same lane$"
+        with pytest.raises(InvalidParameterError, match=message):
+            simulate_experiment(
+                GrowthParams(10, 1),
+                [0.25, 0.5],
+                noiseless_config(),
+                rng,
+                untreated_lane=0.25 * (1 - 1e-10),
+            )
+        assert rng.bit_generator.state == state
+
     def test_grid_validation(self):
         config = noiseless_config()
         with pytest.raises(InvalidParameterError):
@@ -190,12 +205,11 @@ class TestDatasetType:
         ids=["zero-replicate", "nan-ct", "negative-concentration"],
     )
     def test_row_rules_are_checked_by_the_dataset(self, row, message):
-        obs = CtObservation(*row)  # a plain row: the dataset holds the rules
         with pytest.raises(InvalidParameterError, match=f"^{message}$"):
-            CtDataset((CtObservation(0.5, 1, -9.0), obs))
+            plate([(0.5, 1, -9.0), row])
 
     def test_grouped_returns_a_copy(self):
-        dataset = CtDataset((CtObservation(0.25, 1, -2.0), CtObservation(0.5, 1, -1.0)))
+        dataset = plate([(0.25, 1, -2.0), (0.5, 1, -1.0)])
         groups = dataset.grouped()
         groups[0.25] = (99.0,)
         del groups[0.5]
@@ -203,34 +217,22 @@ class TestDatasetType:
         assert dataset.cts_at(0.25) == (-2.0,) and dataset.concentrations() == (0.25, 0.5)
 
     def test_duplicate_pairs_rejected(self):
-        obs = (CtObservation(0.25, 1, -10.0), CtObservation(0.25, 1, -11.0))
         with pytest.raises(InvalidParameterError):
-            CtDataset(obs)
+            plate([(0.25, 1, -10.0), (0.25, 1, -11.0)])
 
     def test_grouping(self):
-        dataset = CtDataset(
-            (
-                CtObservation(0.5, 1, -1.0),
-                CtObservation(0.25, 1, -2.0),
-                CtObservation(0.5, 2, -3.0),
-            )
-        )
+        dataset = plate([(0.5, 1, -1.0), (0.25, 1, -2.0), (0.5, 2, -3.0)])
         assert dataset.concentrations() == (0.25, 0.5)
         assert dataset.grouped() == {0.25: (-2.0,), 0.5: (-1.0, -3.0)}
 
     def test_twin_lanes_rejected(self):
         # grouped() would see two lanes where cts_at(2**-5) sees one
-        obs = (
-            CtObservation(2**-5, 1, -10.0),
-            CtObservation(2**-5, 2, -10.5),
-            CtObservation(TWIN, 1, -11.0),
-        )
         with pytest.raises(InvalidParameterError, match="same lane"):
-            CtDataset(obs)
+            plate([(2**-5, 1, -10.0), (2**-5, 2, -10.5), (TWIN, 1, -11.0)])
 
     def test_lanes_a_millionth_apart_are_distinct(self):
         near = 2**-5 * (1 + 1e-6)
-        dataset = CtDataset((CtObservation(2**-5, 1, -10.0), CtObservation(near, 1, -11.0)))
+        dataset = plate([(2**-5, 1, -10.0), (near, 1, -11.0)])
         assert dataset.grouped() == {2**-5: (-10.0,), near: (-11.0,)}
         assert dataset.cts_at(2**-5) == (-10.0,)
 
@@ -242,25 +244,33 @@ class TestDatasetType:
                 st.one_of(st.sampled_from([-10.0, -9.5]), st.floats()),
             ),
             max_size=10,
-        )
+        ),
+        st.sampled_from([None, 0, 1, 2]),
     )
-    @example([(0.25, 1, -10.0), (0.25, 0, math.nan), (0.25, 1, -9.5)])
-    @example([(0.5, 1, -10.0), (0.25, 2, -9.5), (0.5, 1, math.inf)])
-    @example([(0.25, 1, -10.0), (2**-5, 1, -9.5), (TWIN, 2, -9.5)])
+    @example([(0.25, 1, -10.0), (0.25, 0, math.nan), (0.25, 1, -9.5)], None)
+    @example([(0.5, 1, -10.0), (0.25, 2, -9.5), (0.5, 1, math.inf)], None)
+    @example([(0.25, 1, -10.0), (2**-5, 1, -9.5), (TWIN, 2, -9.5)], None)
+    @example([(0.25, 1, -10.0), (0.25, 0, math.nan)], 2)
     @settings(max_examples=300)
-    def test_rows_give_their_columns_or_the_first_fault(self, rows):
-        expected = reference_first_fault(rows)
+    def test_rows_give_their_columns_or_the_first_fault(self, rows, short):
+        # the rows' columns, as lists; the one ``short`` names lacks its last well
+        columns = [list(column) for column in zip(*rows)] or [[], [], []]
+        if short is not None and rows:
+            del columns[short][-1]
+            expected = f"columns must be of equal length, got {tuple(map(len, columns))!r}"
+        else:
+            expected = reference_first_fault(rows)
         try:
-            dataset = CtDataset(CtObservation(*row) for row in rows)
+            dataset = CtDataset(*columns)
         except InvalidParameterError as exc:
             assert str(exc) == expected
         else:
             assert expected is None
-            assert tuple(zip(*dataset.observations)) == tuple(zip(*rows))
-            assert dataset == CtDataset(tuple(map(CtObservation._make, rows)))
+            # a plate equals the plain tuple of its columns, as tuples, and its config
+            assert dataset == (*map(tuple, columns), None)
 
     def test_lane_lookup_follows_the_concentration_rule(self):
-        dataset = CtDataset((CtObservation(0.5, 1, -1.0), CtObservation(0.5, 2, -3.0)))
+        dataset = plate([(0.5, 1, -1.0), (0.5, 2, -3.0)])
         assert dataset.cts_at(0.5 * (1 + 1e-10)) == (-1.0, -3.0)
         assert dataset.cts_at(0.5 * (1 + 1e-6)) == ()
 
@@ -296,7 +306,7 @@ class TestCsvRoundTrip:
         assert first.getvalue() == second.getvalue()
 
     def test_concentrations_written_as_decimal_literals(self):
-        dataset = CtDataset((CtObservation(2**-20, 1, -5.0),))
+        dataset = plate([(2**-20, 1, -5.0)])
         buffer = io.StringIO()
         write_dataset(dataset, buffer)
         assert "e" not in buffer.getvalue().lower().splitlines()[1]
@@ -314,10 +324,7 @@ class TestCsvRoundTrip:
     )
     @settings(max_examples=100)
     def test_round_trip_property(self, rows):
-        observations = tuple(
-            CtObservation(2.0**e, rep, ct) for e, rep, ct in rows
-        )
-        dataset = CtDataset(observations)
+        dataset = plate((2.0**e, rep, ct) for e, rep, ct in rows)
         buffer = io.StringIO()
         write_dataset(dataset, buffer)
         recovered = read_dataset(io.StringIO(buffer.getvalue()))
@@ -349,7 +356,7 @@ class TestCsvRoundTrip:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "lanes.csv"
-        dataset = CtDataset((CtObservation(0.125, 1, -12.75),))
+        dataset = plate([(0.125, 1, -12.75)])
         write_dataset(dataset, path)
         assert read_dataset(path).observations == dataset.observations
 

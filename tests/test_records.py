@@ -1,15 +1,21 @@
-"""The public record and configuration types, ``CtDataset`` aside.
+"""The public record and configuration types.
 
-Each is a named tuple. The five configuration types check their fields
-whenever one is built, through the constructor or ``_replace``.
+Each is a named tuple. The five configuration types and ``CtDataset`` check
+their fields whenever one is built: through the constructor, ``_replace``,
+``pickle`` or ``copy``.
 """
 
+import copy
+import math
+import pickle
 import re
 
 import pytest
 
 from bactipot import (
     AsymptoticCovariance,
+    CtDataset,
+    CtObservation,
     CtResidual,
     DesignEvaluation,
     FitResult,
@@ -59,6 +65,10 @@ RECORDS = [
      "emp_var_theta theoretical failures n_measurements",
      (10.1, 1.0, 0.1, 8.4, 0.2, 0.008, 0.0001, COV, 0, 1000), {}, None),
     (DesignEvaluation, "design covariance best", ((0.25, 0.5, 1.0), COV, True), {}, None),
+    (CtObservation, "concentration replicate ct", (0.25, 1, -10.0), {}, None),
+    # columns given as lists are kept as tuples
+    (CtDataset, "concentration replicate ct config", ([0.25, 0.5], [1, 1], [-10.0, -9.5]),
+     {"config": None}, ({"ct": (-10.0, math.nan)}, "ct must be finite, got nan")),
 ]
 
 
@@ -79,6 +89,8 @@ def test_record_type(cls, fields, required, defaults, bad):
     for name in (fields[0], "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, full[0])
+    for duplicate in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(duplicate) is cls and duplicate == record
     if bad is not None:
         change, message = bad
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
