@@ -10,12 +10,13 @@ Subcommands::
     curve        tabulated dose-response curve (CSV)
 
 Concentration grids accept ``2^k`` power notation, with an unsigned base,
-alongside plain decimals, e.g. ``--grid "2^-6,2^-4,2^-2"``; ``curve --range``
-takes two finite bounds. Every subcommand takes ``-o/--output``; only
-``simulate``, ``synth`` and ``mc-study`` take ``--seed`` (falling back to the
-BACTIPOT_SEED environment variable, then 0, and logged to stderr), only
-``mc-study`` and ``design-eval`` take ``--pretty``, and only ``fit`` and
-``mc-study`` take ``--no-timestamp``.
+alongside plain decimals, e.g. ``--grid "2^-6,2^-4,2^-2"``. Every
+concentration flag, both ``curve --range`` bounds included, follows
+``check_grid``. Every subcommand takes ``-o/--output``; only ``simulate``,
+``synth`` and ``mc-study`` take ``--seed`` (falling back to the BACTIPOT_SEED
+environment variable, then 0, and logged to stderr), only ``mc-study`` and
+``design-eval`` take ``--pretty``, and only ``fit`` and ``mc-study`` take
+``--no-timestamp``.
 
 Each handler returns its whole output as text, and ``main`` alone writes it,
 to stdout or in one ``open`` of the ``-o`` file. So a run that fails writes
@@ -239,7 +240,7 @@ def _cmd_synth(args: argparse.Namespace) -> str:
     sentinel = None
     if args.untreated_lane is not None:
         sentinel = _parse_number(args.untreated_lane, "--untreated-lane")
-        _check_grid([sentinel, *grid], "--untreated-lane")
+        _check_grid([sentinel, grid[0]], "--untreated-lane")
     seed = _seed(args)
     dataset = simulate_experiment(
         GrowthParams(args.alpha, args.beta),
@@ -257,11 +258,12 @@ def _cmd_fit(args: argparse.Namespace) -> str:
     fit_c = None
     if args.fit_c != "auto":
         fit_c = tuple(_parse_grid(args.fit_c, "--fit-c"))
+    high_c = _parse_number(args.high_c, "--high-c")
+    _check_grid([high_c], "--high-c")
+    low_c = _parse_number(args.low_c, "--low-c")
+    _check_grid([low_c], "--low-c")
     pipeline = PipelineConfig(
-        high_c_threshold=_parse_number(args.high_c, "--high-c"),
-        low_c_choice=_parse_number(args.low_c, "--low-c"),
-        x0=args.x0,
-        fit_concentrations=fit_c,
+        high_c_threshold=high_c, low_c_choice=low_c, x0=args.x0, fit_concentrations=fit_c
     )
     try:
         dataset = read_dataset(sys.stdin if args.input == "-" else args.input)
@@ -395,12 +397,8 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise UsageError(f"{flag}: expected LOW:HIGH, got {text!r}")
-    low = _parse_number(parts[0], flag)
-    high = _parse_number(parts[1], flag)
-    if not (0.0 < low < high):
-        raise UsageError(f"{flag}: need 0 < LOW < HIGH, got {text!r}")
-    if high == math.inf:
-        raise UsageError(f"{flag}: HIGH must be finite, got {text!r}")
+    low, high = (_parse_number(part, flag) for part in parts)
+    _check_grid([low, high], flag)
     return low, high
 
 

@@ -127,10 +127,10 @@ class PipelineConfig(_checked_record("high_c_threshold low_c_choice x0 fit_conce
     judgments about the particular dataset.
 
     Attributes:
-        high_c_threshold: Lanes with concentration >= this estimate the
-            calibration constant and noise level.
-        low_c_choice: The lane treated as free growth for the
-            generation-count estimate, matched by ``same_concentration``.
+        high_c_threshold: Lanes with concentration >= this (finite and
+            positive) estimate the calibration constant and noise level.
+        low_c_choice: The lane (finite and positive) treated as free growth
+            for the generation-count estimate, matched by ``same_concentration``.
         x0: Initial live cells per well, in [1, ``MAX_COUNT``].
         fit_concentrations: Explicit lanes for the regression, matched by
             ``same_concentration``, or None to auto-select lanes whose
@@ -146,6 +146,8 @@ class PipelineConfig(_checked_record("high_c_threshold low_c_choice x0 fit_conce
         x0: int,
         fit_concentrations: Sequence[float] | None = None,
     ):
+        check_grid([high_c_threshold])
+        check_grid([low_c_choice])
         if fit_concentrations is not None:
             fit_concentrations = tuple(fit_concentrations)
         _check_x0(x0)
@@ -453,9 +455,8 @@ def emit_curve(params: GrowthParams, concentrations: Sequence[float]) -> list[tu
 
 
 def log_spaced_grid(low: float, high: float, points: int = 200) -> list[float]:
-    """Logarithmically spaced concentrations spanning [low, high]."""
-    if not (0.0 < low < high < math.inf):
-        raise InvalidParameterError(f"need 0 < low < high < inf, got ({low!r}, {high!r})")
+    """Logarithmically spaced concentrations spanning [low, high], a grid by ``check_grid``."""
+    check_grid([low, high])
     if points < 2:
         raise InvalidParameterError(f"points must be >= 2, got {points!r}")
     import numpy as np

@@ -85,7 +85,7 @@ class MeasurementConfig(_checked_record("a sigma_eps x0 n_generations replicates
     """Parameters of one synthetic qPCR experiment.
 
     Attributes:
-        a: Calibration constant (Ct units). Zero for plain synthetic data.
+        a: Calibration constant (Ct units), finite. Zero for plain synthetic data.
         sigma_eps: Standard deviation of the Ct measurement noise, finite, >= 0.
         x0: Initial live cells per well, in [1, ``MAX_COUNT``].
         n_generations: Generations grown before measurement, in [1, 1023].
@@ -102,6 +102,8 @@ class MeasurementConfig(_checked_record("a sigma_eps x0 n_generations replicates
         n_generations: int = 10,
         replicates: int = 3,
     ):
+        if not math.isfinite(a):
+            raise InvalidParameterError(f"a must be finite, got {a!r}")
         check_sigma_eps(sigma_eps)
         _check_x0(x0)
         _check_generations(n_generations, minimum=1)
@@ -263,9 +265,9 @@ def simulate_experiment(
             increasing.
         config: Experiment dimensions and noise level.
         rng: Source of randomness.
-        untreated_lane: Optional sentinel concentration, strictly below the
-            grid, at which an antibiotic-free control lane (offspring mean 2)
-            is recorded. None synthesizes treated lanes only.
+        untreated_lane: Optional sentinel concentration, below the grid's
+            lowest lane by ``check_grid``, at which an antibiotic-free control
+            lane (offspring mean 2) is recorded. None: treated lanes only.
 
     Returns:
         Dataset with ``config`` attached; replicates are numbered from 1.
@@ -274,11 +276,7 @@ def simulate_experiment(
     check_grid(lanes)
     means = [mean_from_concentration(params, c) for c in lanes]
     if untreated_lane is not None:
-        if not (0.0 < untreated_lane < lanes[0]):
-            raise InvalidParameterError(
-                "untreated sentinel concentration must lie strictly below the grid"
-            )
-        check_grid([untreated_lane, *lanes])  # nor a twin of the lowest lane
+        check_grid([untreated_lane, lanes[0]])  # below the grid, and no twin of its lowest lane
         lanes.insert(0, untreated_lane)
         means.insert(0, 2.0)
     cts = synthesize_plates(means, config, 1, rng)[0]

@@ -19,8 +19,14 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from bactipot import MAX_COUNT, dist_from_mean, simulate_batch, spawn_rng
-from bactipot.cli import UsageError, _parse_grid, main
+from bactipot import (
+    MAX_COUNT,
+    InvalidParameterError,
+    dist_from_mean,
+    simulate_batch,
+    spawn_rng,
+)
+from bactipot.cli import UsageError, _parse_grid, _parse_number, main
 from bactipot.measurement import check_grid
 
 
@@ -643,6 +649,14 @@ class TestCurve:
         assert status == 2 and out == ""
         assert err.startswith("bactipot: usage error: --range: ") and len(err.splitlines()) == 1
 
+    def test_twin_range_bounds_are_usage_error(self, run):
+        status, out, err = run(
+            "curve", "--alpha", "10", "--beta", "1", "--range", "1:1.0000000001", "--points", "3"
+        )
+        assert status == 2 and out == ""
+        assert err.startswith("bactipot: usage error: --range: ") and "same lane" in err
+        assert len(err.splitlines()) == 1
+
     def test_range_without_a_colon_is_usage_error(self, run):
         status, out, err = run("curve", "--alpha", "10", "--beta", "1", "--range", "1")
         assert status == 2 and out == ""
@@ -739,6 +753,19 @@ class TestTwinLanes:
         # the usage error comes before the seed= line
         assert "--untreated-lane" in err and message in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("flag", ["--high-c", "--low-c"])
+    def test_bad_fit_threshold_is_usage_error(self, run, tmp_path, flag, value):
+        # --high-c 0 would take every lane, the free-growth one included, as suppressed
+        lanes = {"--high-c": "2", "--low-c": "2^-7", flag: value}
+        target = tmp_path / "fit.json"
+        status, out, err = run(
+            "fit", "--input", "-", "--x0", "10000", "-o", str(target),
+            *(f"{f}={v}" for f, v in lanes.items()), stdin=plate_text(),
+        )
+        assert status == 2 and out == "" and not target.exists()
+        assert err.startswith(f"bactipot: usage error: {flag}: ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("design", ["-2^2,2^-4", "+2^2,2^-4"])
     def test_signed_power_base_is_usage_error(self, run, design):
@@ -866,6 +893,57 @@ def test_any_argv_exits_0_1_or_2_and_a_failed_run_writes_nothing(argv, stdin):
     # the last -o wins
     to_file = [v for flag, v in zip(argv, argv[1:]) if flag == "-o"][-1:] == [target]
     assert written == to_file and (out.getvalue() == "") == to_file
+
+
+#: Per single-value concentration flag: a run with the other flags valid and
+#: the flag's value in place of VALUE, and the lanes that check_grid sees after it.
+CONCENTRATION_FLAGS = {
+    "--high-c": (("fit", "--input", "-", "--low-c", "2^-7", "--x0", "10000",
+                  "--high-c=VALUE"), []),
+    "--low-c": (("fit", "--input", "-", "--high-c", "2", "--x0", "10000",
+                 "--low-c=VALUE"), []),
+    # the sentinel comes before the grid's lowest lane
+    "--untreated-lane": (("synth", "--alpha", "10", "--beta", "1", "--grid", "2^-4,1,16",
+                          "--untreated-lane=VALUE"), [2**-4]),
+    # both bounds are the grid
+    "--range": (("curve", "--alpha", "10", "--beta", "1", "--points", "3", "--range=VALUE"), []),
+}
+
+
+@given(
+    st.sampled_from(sorted(CONCENTRATION_FLAGS)).flatmap(
+        lambda flag: st.tuples(st.just(flag), FLAG_VALUES[flag])
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_a_concentration_the_rule_refuses_is_a_usage_error(flag_value):
+    flag, value = flag_value
+    args, after = CONCENTRATION_FLAGS[flag]
+    parts = value.split(":")
+    try:
+        if flag == "--range" and len(parts) != 2:
+            raise UsageError("expected LOW:HIGH")
+        check_grid([*(_parse_number(part, flag) for part in parts), *after])
+        refused = False
+    except (UsageError, InvalidParameterError):
+        refused = True
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "out.txt")
+        argv = [a.replace("VALUE", value) for a in args] + ["-o", target]
+        with mock.patch("sys.stdin", io.StringIO(plate_text())), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+        written = os.path.exists(target)
+    event(f"{flag} {'refused' if refused else 'accepted'} exit {status}")
+    if refused:
+        assert status == 2 and out.getvalue() == "" and not written
+        # one line, before any seed= line
+        assert err.getvalue().startswith(f"bactipot: usage error: {flag}: ")
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        assert status in (0, 1) and "usage error" not in err.getvalue()
+        assert written == (status == 0)
 
 
 class TestClosedPipe:
@@ -1141,6 +1219,15 @@ class TestSeedsAndErrors:
         lines = [line for line in err.splitlines() if not line.startswith("bactipot: seed=")]
         assert status == 1 and out == ""
         assert lines == [f"bactipot: error: sigma_eps must be finite and >= 0, got {value}"]
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_calibration_is_data_error(self, run, value):
+        status, out, err = run(
+            "synth", "--alpha", "10", "--beta", "1", "--grid", "1,2", f"--a={value}"
+        )
+        lines = [line for line in err.splitlines() if not line.startswith("bactipot: seed=")]
+        assert status == 1 and out == ""
+        assert lines == [f"bactipot: error: a must be finite, got {value}"]
 
     @pytest.mark.parametrize(
         "args, callee, exc",

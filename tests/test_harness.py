@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import sys
 import threading
 
@@ -481,14 +482,17 @@ class TestEmitCurve:
     @pytest.mark.parametrize(
         "low, high, points, message",
         [
-            (1.0, 0.5, 10, "low < high"),
-            (0.0, 1.0, 10, "low < high"),
-            (0.5, math.inf, 3, "high < inf"),
-            (math.nan, 1.0, 10, "low < high"),
-            (0.01, 1.0, 1, "points"),
+            # the span's bounds are a grid, under check_grid's rule and messages
+            (1.0, 0.5, 10, "concentrations must be strictly increasing, got 1.0 then 0.5"),
+            (0.0, 1.0, 10, "concentrations must be finite and positive, got 0.0"),
+            (0.5, math.inf, 3, "concentrations must be finite and positive, got inf"),
+            (math.nan, 1.0, 10, "concentrations must be finite and positive, got nan"),
+            (1.0, 1.0 + 1e-10, 3,
+             "concentrations 1.0 and 1.0000000001 are distinct but name the same lane"),
+            (0.01, 1.0, 1, "points must be >= 2, got 1"),
         ],
-        ids=["reversed", "zero-low", "infinite-high", "nan-low", "one-point"],
+        ids=["reversed", "zero-low", "infinite-high", "nan-low", "twin", "one-point"],
     )
     def test_log_spaced_grid_rejects_a_bad_span(self, low, high, points, message):
-        with pytest.raises(InvalidParameterError, match=message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             log_spaced_grid(low, high, points)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,10 +160,21 @@ class TestSimulateExperiment:
             assert ct == -math.log2(2**10 * 10**4)
 
     def test_sentinel_must_sit_below_grid(self):
-        with pytest.raises(InvalidParameterError):
-            simulate_experiment(
-                GrowthParams(10, 1), [0.25], noiseless_config(), spawn_rng(2), untreated_lane=0.5
-            )
+        # the sentinel and the lowest lane are a grid, refused by its rule before any draw
+        for sentinel, message in [
+            (0.5, "concentrations must be strictly increasing, got 0.5 then 0.25"),
+            (0.25, "concentrations must be strictly increasing, got 0.25 then 0.25"),
+            (math.nan, "concentrations must be finite and positive, got nan"),
+            (0.0, "concentrations must be finite and positive, got 0.0"),
+        ]:
+            rng = spawn_rng(2)
+            state = rng.bit_generator.state
+            with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+                simulate_experiment(
+                    GrowthParams(10, 1), [0.25, 1.0], noiseless_config(), rng,
+                    untreated_lane=sentinel,
+                )
+            assert rng.bit_generator.state == state
 
     def test_twin_sentinel_is_refused_before_any_draw(self):
         # a sentinel a relative 1e-10 below the grid names the grid's lowest lane
