@@ -457,6 +457,22 @@ def test_readme_output_bytes_are_pinned(run, name):
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+#: SHA-256 of ``mc-study --no-timestamp`` on the 12-lane ladder. With 8 or
+#: more lanes, the order in which the batched fit adds its lanes shows in the
+#: last bits of the report.
+MC_STUDY_LADDER_SHA256 = "1018fd08ae6bea2bce8edf5c3b3ca57cc8e7c10f29a3b84d9c367779eeec2792"
+
+
+def test_mc_study_ladder_bytes_are_pinned(run):
+    status, out, _ = run(
+        "mc-study", "--alpha", "10", "--beta", "1",
+        "--grid", "2^-7,2^-6,2^-5,2^-4,2^-3,2^-2,2^-1,1,2,4,8,16",
+        "--seed", "1", "--no-timestamp",
+    )
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MC_STUDY_LADDER_SHA256
+
+
 class TestMcStudy:
     def test_small_study_json(self, run):
         status, out, _ = run(
