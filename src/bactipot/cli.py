@@ -262,6 +262,7 @@ def _cmd_fit(args: argparse.Namespace) -> str:
     _check_grid([high_c], "--high-c")
     low_c = _parse_number(args.low_c, "--low-c")
     _check_grid([low_c], "--low-c")
+    _check_grid([low_c, high_c], "--low-c and --high-c")
     pipeline = PipelineConfig(
         high_c_threshold=high_c, low_c_choice=low_c, x0=args.x0, fit_concentrations=fit_c
     )

@@ -9,9 +9,10 @@ The chain runs in three stages, each consuming the previous one's output:
 2. Across concentrations, the identity
    ``log(2/m(c) - 1) = log(alpha) + beta * log(c)`` turns the dose-response
    law into a straight line, fit by ordinary least squares
-   (``fit_dose_response``). The minimal inhibitory concentration is
-   ``alpha ** (-1/beta)``, the concentration where the offspring mean
-   crosses 1.
+   (``fit_dose_response``; ``fit_dose_response_rows`` fits many repetitions
+   at once, adding lanes in order for any memory layout). The minimal
+   inhibitory concentration is ``alpha ** (-1/beta)``, the concentration
+   where the offspring mean crosses 1.
 3. ``asymptotic_covariance`` evaluates the exact large-replicate covariance
    of the scaled estimation errors for any concentration design, which is
    what makes designs comparable before running an experiment.
@@ -267,19 +268,12 @@ def estimate_offspring_mean(
     _check_generations(n_generations, minimum=1)
     log2_mu = _log2_mean_total(_mean_ct(cts), a, x0)
     # clamp in log space so absurd inputs cannot overflow the power
-    if log2_mu < 0.0:
-        mu_hat, clamped = 1.0, True
-    elif log2_mu > n_generations:
-        mu_hat, clamped = 2.0**n_generations, True
-    else:
-        raw = 2.0**log2_mu
-        mu_hat = min(max(raw, 1.0), 2.0**n_generations)
-        clamped = raw != mu_hat
+    mu_hat = 2.0 ** min(max(log2_mu, 0.0), n_generations)
     return MeanEstimate(
         concentration=concentration,
         mu_hat=mu_hat,
         m_hat=invert_mean_total(mu_hat, n_generations),
-        clamped=clamped,
+        clamped=not 0.0 <= log2_mu <= n_generations,
     )
 
 
@@ -291,7 +285,7 @@ def fit_dose_response(
 
     Writing ``f_i = log(2/m_hat(c_i) - 1)`` and ``l_i = log(c_i)`` (natural
     logs), the model is the line ``f = log(alpha) + beta * l``, solved in
-    closed form:
+    closed form by ``_fit_line`` with every weight 1:
 
         beta_hat  = (K * sum(f*l) - sum(f) * L1) / (K * L2 - L1**2)
         alpha_hat = exp((sum(f) - beta_hat * L1) / K)
@@ -341,14 +335,11 @@ def fit_dose_response(
 
     ls = [math.log(e.concentration) for e in used]
     fs = [math.log(2.0 / e.m_hat - 1.0) for e in used]
-    k, l1, _, d = _design_sums(ls)
-    sum_f = math.fsum(fs)
-    sum_fl = math.fsum(f * l for l, f in zip(ls, fs))
-    beta_hat = (k * sum_fl - sum_f * l1) / d
+    _, _, beta_hat, log_alpha = _fit_line(ls, fs, [1.0] * len(used), math.fsum)
     if beta_hat == 0.0:
         raise SingularDesignError("flat response: fitted slope is exactly zero")
     try:
-        alpha_hat = math.exp((sum_f - beta_hat * l1) / k)
+        alpha_hat = math.exp(log_alpha)
         mic_hat = alpha_hat ** (-1.0 / beta_hat)
     except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: alpha_hat underflowed to 0
         mic_hat = math.nan
@@ -372,8 +363,9 @@ def fit_dose_response_rows(
     at ``concentrations``. Each row is fit as
     ``fit_dose_response(estimates, concentrations=concentrations)`` would fit
     it: lanes whose estimate is exactly 0 or 2 are left out, the band filter
-    does not apply, and the same closed-form least-squares line is solved
-    with masked sums. The grid is taken as valid: its one caller,
+    does not apply, and ``_fit_line`` solves the same line with the usage
+    mask as 0/1 weights, adding the lanes in order for any memory layout of
+    ``m_hats``. The grid is taken as valid: its one caller,
     ``run_mc_study``, has it checked by ``McStudyConfig``.
 
     Returns:
@@ -383,21 +375,16 @@ def fit_dose_response_rows(
         parameters that overflow or a MIC that underflows to 0).
     """
     import numpy as np
-    cs = np.asarray(concentrations, dtype=float)
     m_hats = np.asarray(m_hats, dtype=float)
     used = (m_hats > 0.0) & (m_hats < 2.0)
-    ls = np.where(used, np.log(cs), 0.0)
+    ls = np.log(np.asarray(concentrations, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         fs = np.where(used, np.log(2.0 / m_hats - 1.0), 0.0)
-        k = used.sum(axis=1)
-        l1 = ls.sum(axis=1)
-        denominator = k * (ls * ls).sum(axis=1) - l1**2
-        sum_f = fs.sum(axis=1)
-        beta = (k * (fs * ls).sum(axis=1) - sum_f * l1) / denominator
-        alpha = np.exp((sum_f - beta * l1) / k)
+        k, d, beta, log_alpha = _fit_line(ls, fs.T, used.T, sum)
+        alpha = np.exp(log_alpha)
         theta = alpha ** (-1.0 / beta)
     fits = np.stack([alpha, beta, theta], axis=1)
-    ok = (k >= 2) & (denominator > 0.0) & (beta != 0.0) & (theta > 0.0)
+    ok = (k >= 2) & (d > 0.0) & (beta != 0.0) & (theta > 0.0)
     ok &= np.isfinite(fits).all(axis=1)
     fits[~ok] = math.nan
     return fits
@@ -473,29 +460,39 @@ def asymptotic_covariance(
     return AsymptoticCovariance(*sums, k_factors=tuple(ks))
 
 
-def _design_sums(ls: Sequence[float]) -> tuple[int, float, float, float]:
-    """Design sums ``(K, L1, L2, D)`` of strictly increasing log-concentrations.
+def _design_sums(ls, ws, total):
+    """``(S0, S1, S2, D)``: ``w``, ``w*l`` and ``w*l**2`` summed by ``total``
+    over lanes whose ``l`` and ``w`` are floats or arrays over rows, and
+    ``D = S0*S2 - S1**2``. ``total`` is ``math.fsum``, or builtin ``sum``,
+    which adds lanes in order whatever the memory layout. A float ``D`` at or
+    below 0, as rounding can leave it, raises ``SingularDesignError``."""
+    wls = [w * l for w, l in zip(ws, ls)]
+    s0, s1 = total(ws), total(wls)
+    s2 = total(wl * l for wl, l in zip(wls, ls))
+    d = s0 * s2 - s1**2
+    if isinstance(d, float) and d <= 0.0:
+        raise SingularDesignError("degenerate design: S0*S2 - S1**2 is not positive")
+    return s0, s1, s2, d
 
-    ``L1`` and ``L2`` sum ``l`` and ``l**2``; ``D = K*L2 - L1**2`` is positive
-    for distinct points by the Cauchy-Schwarz inequality.
-    """
-    if len(ls) < 2:
-        raise InsufficientDataError(f"need at least 2 regression points, got {len(ls)}")
-    if any(b <= a for a, b in zip(ls, ls[1:])):
-        raise InvalidParameterError("log-concentrations must be strictly increasing")
-    k = len(ls)
-    l1 = math.fsum(ls)
-    l2 = math.fsum(l * l for l in ls)
-    d = k * l2 - l1**2
-    if d <= 0.0:
-        raise SingularDesignError("degenerate design: K*L2 - L1**2 is not positive")
-    return k, l1, l2, d
+
+def _fit_line(ls, fs, ws, total):
+    """``(S0, D, beta, log_alpha)`` of the weighted least-squares line
+    ``f = log_alpha + beta*l`` through lanes ``(l, f)`` of weight ``w``:
+    ``beta = (S0*Sfl - Sf*S1) / D``, ``log_alpha = (Sf - beta*S1) / S0``, with
+    ``Sf``, ``Sfl`` the sums of ``w*f``, ``w*f*l`` (see ``_design_sums``)."""
+    s0, s1, _, d = _design_sums(ls, ws, total)
+    sf = total(w * f for w, f in zip(ws, fs))
+    sfl = total(w * f * l for w, f, l in zip(ws, fs, ls))
+    beta = (s0 * sfl - sf * s1) / d
+    return s0, d, beta, (sf - beta * s1) / s0
 
 
 def _covariance_sums(
     ks: Sequence[float], ls: Sequence[float], alpha: float, beta: float
 ) -> tuple[float, float, float, float]:
-    n, l1, l2, d = _design_sums(ls)
+    if len(ls) < 2:
+        raise InsufficientDataError(f"need at least 2 regression points, got {len(ls)}")
+    n, l1, l2, d = _design_sums(ls, [1.0] * len(ls), math.fsum)
     d2 = d**2
     a_terms = [l2 - l1 * l for l in ls]
     b_terms = [n * l - l1 for l in ls]

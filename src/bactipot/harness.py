@@ -124,13 +124,14 @@ class PipelineConfig(_checked_record("high_c_threshold low_c_choice x0 fit_conce
     The thresholds are deliberately mandatory: which lanes count as
     growth-suppressed (for the calibration constant and noise level) and
     which lane is effectively untreated (for the generation count) are
-    judgments about the particular dataset.
+    judgments about the particular dataset. ``check_grid`` must accept
+    ``[low_c_choice, high_c_threshold]`` and the sorted fit lanes.
 
     Attributes:
-        high_c_threshold: Lanes with concentration >= this (finite and
-            positive) estimate the calibration constant and noise level.
-        low_c_choice: The lane (finite and positive) treated as free growth
-            for the generation-count estimate, matched by ``same_concentration``.
+        high_c_threshold: Lanes with concentration >= this estimate the
+            calibration constant and noise level.
+        low_c_choice: The lane treated as free growth for the
+            generation-count estimate, matched by ``same_concentration``.
         x0: Initial live cells per well, in [1, ``MAX_COUNT``].
         fit_concentrations: Explicit lanes for the regression, matched by
             ``same_concentration``, or None to auto-select lanes whose
@@ -146,10 +147,10 @@ class PipelineConfig(_checked_record("high_c_threshold low_c_choice x0 fit_conce
         x0: int,
         fit_concentrations: Sequence[float] | None = None,
     ):
-        check_grid([high_c_threshold])
-        check_grid([low_c_choice])
+        check_grid([low_c_choice, high_c_threshold])
         if fit_concentrations is not None:
             fit_concentrations = tuple(fit_concentrations)
+            check_grid(sorted(fit_concentrations))
         _check_x0(x0)
         return super().__new__(cls, high_c_threshold, low_c_choice, x0, fit_concentrations)
 

@@ -600,6 +600,13 @@ class TestDesignEval:
         assert status == 0
         assert [r[5] for r in parse_csv(out)[1:]] == ["singular", "singular"]
 
+    @pytest.mark.parametrize("designs", ["0.25", "2^-6,2^-4,2^-2;0.25"])
+    def test_one_lane_design_is_data_error(self, run, designs):
+        # a line needs two lanes: the design is refused, not ranked singular
+        status, out, err = run("design-eval", "--alpha", "10", "--beta", "1", "--designs", designs)
+        assert status == 1 and out == ""
+        assert err == "bactipot: error: need at least 2 regression points, got 1\n"
+
     def test_designs_naming_no_design_is_usage_error(self, run):
         status, out, err = run("design-eval", "--alpha", "10", "--beta", "1", "--designs", ";")
         assert status == 2 and out == ""
@@ -783,6 +790,25 @@ class TestTwinLanes:
         assert status == 2 and out == "" and not target.exists()
         assert err.startswith(f"bactipot: usage error: {flag}: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "low, high, message",
+        [("2^-7", "2^-7", "strictly increasing"), ("4", "2", "strictly increasing"),
+         ("1.99999999999", "2", "same lane")],
+        ids=["equal", "above", "twin"],
+    )
+    def test_free_growth_lane_at_or_above_threshold_is_usage_error(
+        self, run, tmp_path, low, high, message
+    ):
+        # the free-growth lane would also calibrate a: alpha_hat 117.3 where the truth is 10
+        target = tmp_path / "fit.json"
+        status, out, err = run(
+            "fit", "--input", "-", "--x0", "10000", "-o", str(target),
+            "--high-c", high, "--low-c", low, stdin=plate_text(),
+        )
+        assert status == 2 and out == "" and not target.exists()
+        assert err.startswith("bactipot: usage error: --low-c and --high-c: ")
+        assert message in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("design", ["-2^2,2^-4", "+2^2,2^-4"])
     def test_signed_power_base_is_usage_error(self, run, design):
         status, out, err = run("design-eval", "--alpha", "10", "--beta", "1", f"--designs={design}")
@@ -912,17 +938,20 @@ def test_any_argv_exits_0_1_or_2_and_a_failed_run_writes_nothing(argv, stdin):
 
 
 #: Per single-value concentration flag: a run with the other flags valid and
-#: the flag's value in place of VALUE, and the lanes that check_grid sees after it.
+#: the flag's value in place of VALUE; the lanes that check_grid sees, with
+#: None for the flag's values; and the flags that a refusal of those lanes names.
 CONCENTRATION_FLAGS = {
+    # the free-growth lane lies below the threshold
     "--high-c": (("fit", "--input", "-", "--low-c", "2^-7", "--x0", "10000",
-                  "--high-c=VALUE"), []),
+                  "--high-c=VALUE"), [2**-7, None], "--low-c and --high-c"),
     "--low-c": (("fit", "--input", "-", "--high-c", "2", "--x0", "10000",
-                 "--low-c=VALUE"), []),
+                 "--low-c=VALUE"), [None, 2.0], "--low-c and --high-c"),
     # the sentinel comes before the grid's lowest lane
     "--untreated-lane": (("synth", "--alpha", "10", "--beta", "1", "--grid", "2^-4,1,16",
-                          "--untreated-lane=VALUE"), [2**-4]),
+                          "--untreated-lane=VALUE"), [None, 2**-4], "--untreated-lane"),
     # both bounds are the grid
-    "--range": (("curve", "--alpha", "10", "--beta", "1", "--points", "3", "--range=VALUE"), []),
+    "--range": (("curve", "--alpha", "10", "--beta", "1", "--points", "3", "--range=VALUE"),
+                [None], "--range"),
 }
 
 
@@ -934,12 +963,16 @@ CONCENTRATION_FLAGS = {
 @settings(max_examples=150, deadline=None)
 def test_a_concentration_the_rule_refuses_is_a_usage_error(flag_value):
     flag, value = flag_value
-    args, after = CONCENTRATION_FLAGS[flag]
+    args, lanes, named = CONCENTRATION_FLAGS[flag]
     parts = value.split(":")
+    prefix = flag
     try:
         if flag == "--range" and len(parts) != 2:
             raise UsageError("expected LOW:HIGH")
-        check_grid([*(_parse_number(part, flag) for part in parts), *after])
+        values = [_parse_number(part, flag) for part in parts]
+        check_grid(values)
+        prefix = named
+        check_grid([v for lane in lanes for v in (values if lane is None else [lane])])
         refused = False
     except (UsageError, InvalidParameterError):
         refused = True
@@ -955,7 +988,7 @@ def test_a_concentration_the_rule_refuses_is_a_usage_error(flag_value):
     if refused:
         assert status == 2 and out.getvalue() == "" and not written
         # one line, before any seed= line
-        assert err.getvalue().startswith(f"bactipot: usage error: {flag}: ")
+        assert err.getvalue().startswith(f"bactipot: usage error: {prefix}: ")
         assert len(err.getvalue().splitlines()) == 1
     else:
         assert status in (0, 1) and "usage error" not in err.getvalue()

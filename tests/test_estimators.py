@@ -39,6 +39,7 @@ from bactipot.estimators import (
     _invert_totals,
     _covariance_sums,
     _design_sums,
+    _fit_line,
     estimate_offspring_means,
     fit_dose_response_rows,
 )
@@ -307,6 +308,32 @@ class TestEstimateOffspringMean:
         est = estimate_offspring_mean([5000.0], a=0.0, x0=10**4, n_generations=10)
         assert est.clamped and est.mu_hat == 1.0 and est.m_hat == 0.0
 
+    @pytest.mark.parametrize(
+        "log2_mu, mu_hat, clamped",
+        [
+            (-math.inf, 1.0, True),
+            (math.nextafter(0.0, -1.0), 1.0, True),
+            (-0.0, 1.0, False),
+            (0.0, 1.0, False),
+            (math.nextafter(0.0, 1.0), 1.0, False),
+            (math.nextafter(10.0, 0.0), 2.0 ** math.nextafter(10.0, 0.0), False),
+            (10.0, 1024.0, False),
+            (math.nextafter(10.0, 11.0), 1024.0, True),
+            (math.inf, 1024.0, True),
+        ],
+    )
+    def test_clamp_edges(self, log2_mu, mu_hat, clamped):
+        # with x0 = 1 and a Ct of 0 the log2 total is a itself; the clamp
+        # flags exactly the values outside [0, n]
+        est = estimate_offspring_mean([0.0], a=log2_mu, x0=1, n_generations=10)
+        assert (est.mu_hat, est.clamped) == (mu_hat, clamped)
+        assert est.m_hat == invert_mean_total(mu_hat, 10)
+        assert estimate_offspring_means(np.array([0.0]), log2_mu, 1, 10).tolist() == [est.m_hat]
+
+    def test_nan_log_total_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="got nan"):
+            estimate_offspring_mean([0.0], a=math.nan, x0=1, n_generations=10)
+
     def test_generation_count_domain(self):
         with pytest.raises(InvalidParameterError):
             estimate_offspring_mean([-LOG2_X0], 0.0, 10**4, n_generations=0)
@@ -447,6 +474,18 @@ class TestFitDoseResponseRows:
             assert row.tolist() == pytest.approx(expected, rel=1e-12)
         assert 0 < failed < len(rows)
 
+    def test_memory_layout_does_not_change_a_bit(self):
+        # numpy sums a contiguous axis pairwise from 8 elements on, and a
+        # strided one in order; the fit adds its lanes in order either way
+        grid = tuple(2.0**k for k in range(-7, 3))
+        rng = spawn_rng(403)
+        m_hats = rng.uniform(0.05, 1.95, size=(3000, len(grid)))
+        m_hats[rng.random(m_hats.shape) < 0.1] = 0.0
+        by_rows = fit_dose_response_rows(np.ascontiguousarray(m_hats), grid)
+        by_lanes = fit_dose_response_rows(np.asfortranarray(m_hats), grid)
+        assert by_rows.tobytes() == by_lanes.tobytes()
+        assert np.isfinite(by_rows).all(axis=1).mean() > 0.9
+
     def test_flat_response_fails_like_the_scalar_fit(self):
         # every lane at m = 1 gives f = 0 everywhere and a zero slope
         rows = fit_dose_response_rows(np.ones((2, 3)), (0.25, 0.5, 1.0))
@@ -468,24 +507,40 @@ class TestFitDoseResponseRows:
 
 
 class TestRegressionInputs:
-    """The design sums ``(K, L1, L2, D)`` every regression formula is built from."""
+    """The least-squares core: design sums ``(S0, S1, S2, D)`` and the line."""
 
     def test_needs_two_points(self):
-        with pytest.raises(InsufficientDataError):
-            _design_sums([0.0])
-
-    def test_needs_increasing_logs(self):
-        with pytest.raises(InvalidParameterError):
-            _design_sums([0.5, 0.5])
+        # a one-lane design is refused, so design-eval exits 1 rather than rank it singular
+        with pytest.raises(InsufficientDataError, match="need at least 2 regression points"):
+            asymptotic_covariance([0.25], GrowthParams(10, 1), 10, 0.2)
 
     def test_moments(self):
-        assert _design_sums([1.0, 2.0, 3.0]) == (3, 6.0, 14.0, 3 * 14.0 - 36.0)
+        ls = [1.0, 2.0, 3.0]
+        assert _design_sums(ls, [1.0] * 3, math.fsum) == (3.0, 6.0, 14.0, 3 * 14.0 - 36.0)
+        assert _design_sums(ls, [2.0, 1.0, 0.5], math.fsum) == (3.5, 5.5, 10.5, 3.5 * 10.5 - 5.5**2)
 
     def test_needs_positive_denominator(self):
-        # two logs a few ulps apart: K*L2 - L1**2 rounds to zero
+        # two logs a few ulps apart: S0*S2 - S1**2 rounds to zero
         close = math.nextafter(math.nextafter(700.0, math.inf), math.inf)
         with pytest.raises(SingularDesignError):
-            _design_sums([700.0, close])
+            _design_sums([700.0, close], [1.0, 1.0], math.fsum)
+        # an array of designs is the caller's to check
+        assert (_design_sums([700.0, close], [np.ones(2), np.ones(2)], sum)[3] <= 0.0).all()
+
+    def test_zero_weight_is_a_dropped_lane(self):
+        ls = [math.log(c) for c in (2**-6, 2**-4, 2**-3, 2**-2)]
+        fs = [1.3, 0.4, -0.2, -0.9]
+        kept = [0, 1, 3]
+        for total in (math.fsum, sum):
+            dropped = _fit_line([ls[i] for i in kept], [fs[i] for i in kept], [1.0] * 3, total)
+            assert _fit_line(ls, fs, [1.0, 1.0, 0.0, 1.0], total) == dropped
+        # one row per mask, as the batched fit weights its lanes
+        masks = np.array([[1, 1, 0, 1], [0, 1, 1, 1]], dtype=bool)
+        rows = _fit_line(ls, [np.full(2, f) for f in fs], list(masks.T), sum)
+        for r, mask in enumerate(masks):
+            lanes = np.flatnonzero(mask)
+            dropped = _fit_line([ls[i] for i in lanes], [fs[i] for i in lanes], [1.0] * 3, sum)
+            assert [value[r] for value in rows] == list(dropped)
 
 
 class TestKFactor:

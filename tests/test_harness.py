@@ -362,6 +362,17 @@ class TestFitDataset:
         assert result.fit.used_concentrations == chosen
         assert all(reason == "not-selected" for _, reason in result.fit.excluded)
 
+    def test_fit_concentrations_in_any_order(self):
+        # the grid rule sees them sorted; the record keeps them as given
+        dataset = synthetic_dataset(seed=5)
+        chosen = (2**-5, 2**-4, 2**-2, 2**-1)
+        ordered, reversed_ = (
+            PipelineConfig(2.0, 2**-7, 10_000, fit_concentrations=lanes)
+            for lanes in (chosen, chosen[::-1])
+        )
+        assert reversed_.fit_concentrations == chosen[::-1]
+        assert fit_dataset(dataset, reversed_) == fit_dataset(dataset, ordered)
+
     @pytest.mark.parametrize("rel", [1e-10, -1e-10])
     def test_near_concentrations_select_their_lane(self, rel):
         # lanes named with a rounding difference, as retyped values carry

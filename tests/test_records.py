@@ -57,7 +57,20 @@ RECORDS = [
       ({"high_c_threshold": math.nan}, "concentrations must be finite and positive, got nan"),
       ({"high_c_threshold": 0.0}, "concentrations must be finite and positive, got 0.0"),
       ({"low_c_choice": -1.0}, "concentrations must be finite and positive, got -1.0"),
-      ({"low_c_choice": math.inf}, "concentrations must be finite and positive, got inf")]),
+      ({"low_c_choice": math.inf}, "concentrations must be finite and positive, got inf"),
+      # the free-growth lane lies below the threshold, and is not its twin
+      ({"low_c_choice": 2.0}, "concentrations must be strictly increasing, got 2.0 then 2.0"),
+      ({"low_c_choice": 4.0}, "concentrations must be strictly increasing, got 4.0 then 2.0"),
+      ({"low_c_choice": 1.99999999999},
+       "concentrations 1.99999999999 and 2.0 are distinct but name the same lane"),
+      # so are the fit lanes, once sorted
+      ({"fit_concentrations": [math.nan, 1.0, 2.0]},
+       "concentrations must be finite and positive, got nan"),
+      ({"fit_concentrations": [2.0, 1.0, 1.0]},
+       "concentrations must be strictly increasing, got 1.0 then 1.0"),
+      ({"fit_concentrations": [0.0, 1.0, 2.0]},
+       "concentrations must be finite and positive, got 0.0"),
+      ({"fit_concentrations": []}, "concentration grid must be non-empty")]),
     (MeanEstimate, "concentration mu_hat m_hat clamped", (0.25, 12.5, 1.25, False), {}, []),
     (FitResult, "alpha_hat beta_hat mic_hat used_concentrations excluded",
      (10.0, 1.0, 0.1, (0.25, 0.5)), {"excluded": ()}, []),
