@@ -19,6 +19,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import namedtuple
 from itertools import repeat
@@ -341,8 +342,7 @@ def simulate_batch(
     """
     import numpy as np
     _check_x0(x0)
-    if replicates < 1:
-        raise InvalidParameterError(f"replicates must be >= 1, got {replicates!r}")
+    _check_integer("replicates", replicates, minimum=1)
     if isinstance(dist, OffspringDistribution):
         shape = (replicates,)
         probs = (dist.p0, dist.p1, dist.p2)
@@ -379,10 +379,21 @@ def _check_mean(mean: float) -> None:
         raise InvalidParameterError(f"offspring mean must lie in [0, 2], got {mean!r}")
 
 
+def _check_integer(name: str, value: int, minimum=-math.inf, maximum=math.inf) -> None:
+    # the one integer rule, for every count and seed, as operator.index reads
+    # one: ints and numpy integers pass, and floats fail, 1e4 too
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+    if not minimum <= value <= maximum:
+        bound = f"be >= {minimum}" if maximum == math.inf else f"lie in [{minimum}, {maximum}]"
+        raise InvalidParameterError(f"{name} must {bound}, got {value!r}")
+
+
 def _check_x0(x0: int) -> None:
     # the one rule for an initial live count, before any array holds it
-    if x0 < 1:
-        raise InvalidParameterError(f"x0 must be >= 1, got {x0!r}")
+    _check_integer("x0", x0, minimum=1)
     if x0 > MAX_COUNT:
         raise CountOverflowError(f"x0 must be <= {MAX_COUNT}, got {x0!r}")
 
@@ -390,7 +401,4 @@ def _check_x0(x0: int) -> None:
 def _check_generations(n_generations: int, minimum: int) -> None:
     # the one generation rule: 1023 is the largest n with 2.0**n finite, and
     # every total-count ceiling and inversion needs 2**n as a float
-    if not minimum <= n_generations <= 1023:
-        raise InvalidParameterError(
-            f"n_generations must lie in [{minimum}, 1023], got {n_generations!r}"
-        )
+    _check_integer("n_generations", n_generations, minimum, maximum=1023)

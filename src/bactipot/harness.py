@@ -23,16 +23,13 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .branching import (
     GrowthParams,
+    _check_integer,
     _check_x0,
     _checked_record,
     mean_from_concentration,
     mean_total_from_mean,
 )
-from .errors import (
-    InsufficientDataError,
-    InvalidParameterError,
-    SingularDesignError,
-)
+from .errors import InsufficientDataError, SingularDesignError
 from .estimators import (
     AsymptoticCovariance,
     FitResult,
@@ -87,8 +84,8 @@ class McStudyConfig(_checked_record("params grid measurement n_measurements seed
     ):
         grid = tuple(grid)
         check_grid(grid)
-        if n_measurements < 2:
-            raise InvalidParameterError(f"n_measurements must be >= 2, got {n_measurements!r}")
+        _check_integer("n_measurements", n_measurements, minimum=2)
+        _check_integer("seed", seed)
         return super().__new__(cls, params, grid, measurement, n_measurements, seed)
 
 
@@ -218,15 +215,16 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
     grid, as array work in blocks of ``MC_BLOCK`` repetitions: one
     ``simulate_batch`` call grows every well of a block, and the Ct
     synthesis, inversion and fit each run once over its ``(repetitions,
-    lanes)`` mean-Ct matrix, on up to one thread per CPU, each held to its
-    CPU until the caller's CPU set is restored on return. Block ``b`` draws
-    from ``spawn_rng(seed, b)`` and fills only its rows, so the report is a
-    function of ``config`` alone, on any CPU count. Failed fits are counted;
-    a block that raises fails the study, lowest block first.
+    lanes)`` mean-Ct matrix. Worker threads run the blocks, up to one per
+    CPU and each held to its own; the caller runs none, and its CPU set is
+    never changed. Block ``b`` draws from ``spawn_rng(seed, b)`` and fills
+    only its rows, so the report is a function of ``config`` alone, on any
+    CPU count. Failed fits are counted; a block that raises fails the study,
+    lowest block first.
 
     Args:
         config: Study definition.
-        workers: Accepted for compatibility and must be >= 1; it does not
+        workers: Accepted for compatibility, an integer >= 1; it does not
             change how the study runs or what it reports.
 
     Returns:
@@ -234,8 +232,7 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
         exact asymptotic covariance of the design.
     """
     import numpy as np
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers!r}")
+    _check_integer("workers", workers, minimum=1)
     m = config.measurement
     # both raise for a design the floating-point range cannot hold, so before any block runs
     true_theta = mic(config.params.alpha, config.params.beta)
@@ -245,16 +242,16 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
     results = np.empty((total, 3))
     n_blocks = -(-total // MC_BLOCK)
     allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    # one thread per CPU, held to it: left free, two can share a CPU for
+    # one worker per CPU, held to it: left free, two can share a CPU for
     # hundreds of ms. Each takes the next block as it frees up, in order, so
     # every block below a failing one is out and none above it need start.
-    cpus = sorted(allowed)[:n_blocks]
     blocks, hand_out = iter(range(n_blocks)), threading.Lock()
     errors: dict[int, Exception] = {}
 
     def run_blocks(cpu: int) -> None:
-        if threads:
-            _hold_to({cpu})
+        # pid 0 is the calling thread on Linux; a refusal only costs speed
+        with suppress(AttributeError, OSError):
+            os.sched_setaffinity(0, {cpu})
         while True:
             with hand_out:
                 block = None if errors else next(blocks, None)
@@ -269,16 +266,11 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
             except Exception as exc:
                 errors[block] = exc
 
-    threads = [threading.Thread(target=run_blocks, args=(cpu,)) for cpu in cpus[1:]]
-    try:
-        for thread in threads:
-            thread.start()
-        run_blocks(cpus[0])
-    finally:
-        for thread in filter(threading.Thread.is_alive, threads):
-            thread.join()
-        if threads:
-            _hold_to(allowed)
+    threads = [threading.Thread(target=run_blocks, args=(cpu,)) for cpu in sorted(allowed)[:n_blocks]]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
     if errors:
         raise errors[min(errors)]
 
@@ -287,27 +279,22 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
     alphas, betas, thetas = results[ok, 0], results[ok, 1], results[ok, 2]
 
     root_n = math.sqrt(m.replicates)
-    scaled_a = root_n * (alphas - config.params.alpha)
-    scaled_b = root_n * (betas - config.params.beta)
-    scaled_t = root_n * (thetas - true_theta)
-    return McStudyReport(
-        mean_alpha=_mean(alphas),
-        mean_beta=_mean(betas),
-        mean_theta=_mean(thetas),
-        emp_var_alpha=_var(scaled_a),
-        emp_cov_alphabeta=_cov(scaled_a, scaled_b),
-        emp_var_beta=_var(scaled_b),
-        emp_var_theta=_var(scaled_t),
-        theoretical=theoretical,
-        failures=failures,
-        n_measurements=total,
-    )
-
-
-def _hold_to(cpus) -> None:
-    # pid 0 is the calling thread on Linux; a refusal only costs speed
-    with suppress(AttributeError, OSError):
-        os.sched_setaffinity(0, cpus)
+    with np.errstate(over="ignore", invalid="ignore"):  # a moment past the float range: inf or NaN
+        scaled_a = root_n * (alphas - config.params.alpha)
+        scaled_b = root_n * (betas - config.params.beta)
+        scaled_t = root_n * (thetas - true_theta)
+        return McStudyReport(
+            mean_alpha=_mean(alphas),
+            mean_beta=_mean(betas),
+            mean_theta=_mean(thetas),
+            emp_var_alpha=_var(scaled_a),
+            emp_cov_alphabeta=_cov(scaled_a, scaled_b),
+            emp_var_beta=_var(scaled_b),
+            emp_var_theta=_var(scaled_t),
+            theoretical=theoretical,
+            failures=failures,
+            n_measurements=total,
+        )
 
 
 def _mean(values: np.ndarray) -> float:
@@ -458,7 +445,6 @@ def emit_curve(params: GrowthParams, concentrations: Sequence[float]) -> list[tu
 def log_spaced_grid(low: float, high: float, points: int = 200) -> list[float]:
     """Logarithmically spaced concentrations spanning [low, high], a grid by ``check_grid``."""
     check_grid([low, high])
-    if points < 2:
-        raise InvalidParameterError(f"points must be >= 2, got {points!r}")
+    _check_integer("points", points, minimum=2)
     import numpy as np
     return [float(c) for c in np.geomspace(low, high, points)]

@@ -23,13 +23,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-from contextlib import contextmanager
+import operator
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .branching import (
     GrowthParams,
     _check_generations,
+    _check_integer,
     _check_x0,
     _checked_record,
     dist_from_mean,
@@ -87,9 +89,9 @@ class MeasurementConfig(_checked_record("a sigma_eps x0 n_generations replicates
     Attributes:
         a: Calibration constant (Ct units), finite. Zero for plain synthetic data.
         sigma_eps: Standard deviation of the Ct measurement noise, finite, >= 0.
-        x0: Initial live cells per well, in [1, ``MAX_COUNT``].
-        n_generations: Generations grown before measurement, in [1, 1023].
-        replicates: Independent wells per concentration.
+        x0: Initial live cells per well, an integer in [1, ``MAX_COUNT``].
+        n_generations: Generations grown before measurement, an integer in [1, 1023].
+        replicates: Independent wells per concentration, an integer >= 1.
     """
 
     __slots__ = ()
@@ -107,8 +109,7 @@ class MeasurementConfig(_checked_record("a sigma_eps x0 n_generations replicates
         check_sigma_eps(sigma_eps)
         _check_x0(x0)
         _check_generations(n_generations, minimum=1)
-        if replicates < 1:
-            raise InvalidParameterError(f"replicates must be >= 1, got {replicates!r}")
+        _check_integer("replicates", replicates, minimum=1)
         return super().__new__(cls, a, sigma_eps, x0, n_generations, replicates)
 
 
@@ -120,41 +121,43 @@ class CtObservation(NamedTuple):
     ct: float
 
 
-def _check_columns(concentration, replicate, ct, lines: Sequence[int] | None = None) -> None:
-    # the row rules, each once over a whole column; only if one fails are the rows
-    # walked in order, to report the first faulty row (by its line, given ``lines``)
-    if (
-        all(0.0 < c < math.inf for c in set(concentration))
-        and min(replicate, default=1) >= 1
-        and all(map(math.isfinite, ct))
-        and len(set(zip(concentration, replicate))) == len(ct)
-    ):
-        return
+def _check_columns(concentration, replicate, ct, lines: Sequence[int] | None = None) -> tuple:
+    # the row rules, each once over a whole column, giving the replicates as plain ints
+    # (True as 1); only if a rule fails are the rows walked in order, to report the first
+    # faulty row (by its line, given ``lines``)
+    with suppress(TypeError):  # a replicate that is no integer, for the walk to name
+        replicates = tuple(map(operator.index, replicate))
+        if (
+            all(0.0 < c < math.inf for c in set(concentration))
+            and min(replicates, default=1) >= 1
+            and all(map(math.isfinite, ct))
+            and len(set(zip(concentration, replicates))) == len(ct)
+        ):
+            return replicates
     seen: set[tuple[float, int]] = set()
     for i, (c, r, x) in enumerate(zip(concentration, replicate, ct)):
-        if not 0.0 < c < math.inf:
-            error = f"concentration must be finite and positive, got {c!r}"
-        elif r < 1:
-            error = f"replicate must be >= 1, got {r!r}"
-        elif not math.isfinite(x):
-            error = f"ct must be finite, got {x!r}"
-        elif (c, r) in seen:
-            error = f"duplicate (concentration, replicate) pair {(c, r)!r}"
-        else:
-            seen.add((c, r))
-            continue
-        raise DatasetFormatError(error, line=lines[i]) if lines else InvalidParameterError(error)
+        try:
+            if not 0.0 < c < math.inf:
+                raise InvalidParameterError(f"concentration must be finite and positive, got {c!r}")
+            _check_integer("replicate", r, minimum=1)
+            if not math.isfinite(x):
+                raise InvalidParameterError(f"ct must be finite, got {x!r}")
+            if (c, r) in seen:
+                raise InvalidParameterError(f"duplicate (concentration, replicate) pair {(c, r)!r}")
+        except InvalidParameterError as exc:
+            raise (DatasetFormatError(str(exc), line=lines[i]) if lines else exc) from None
+        seen.add((c, r))
 
 
 class CtDataset(_checked_record("concentration replicate ct config")):
     """A plate: Ct observations over a concentration grid, held as three columns.
 
     ``concentration``, ``replicate`` and ``ct`` are equal-length tuples, one
-    entry per well, in input order. Each (concentration, replicate) pair
-    appears at most once, and no two distinct concentrations name the same
-    lane by ``same_concentration``. ``config`` is carried along for synthetic
-    data and absent (None) for ingested lab data. ``len`` is the well count,
-    while ``tuple(dataset)`` is the four fields.
+    entry per well, in input order; replicates are plain ints >= 1. Each
+    (concentration, replicate) pair appears at most once, and no two distinct
+    concentrations name the same lane by ``same_concentration``. ``config`` is
+    carried along for synthetic data and absent (None) for ingested lab data.
+    ``len`` is the well count, while ``tuple(dataset)`` is the four fields.
     """
 
     __slots__ = ()
@@ -164,10 +167,10 @@ class CtDataset(_checked_record("concentration replicate ct config")):
         lengths = tuple(map(len, columns))
         if min(lengths) != max(lengths):
             raise InvalidParameterError(f"columns must be of equal length, got {lengths!r}")
-        _check_columns(*columns)
+        replicate = _check_columns(*columns)
         if columns[0]:
             check_grid(sorted(set(columns[0])))
-        return super().__new__(cls, *columns, config)
+        return super().__new__(cls, columns[0], replicate, columns[2], config)
 
     @property
     def observations(self) -> tuple[CtObservation, ...]:

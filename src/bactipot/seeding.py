@@ -9,6 +9,7 @@ or spread over threads, as a Monte Carlo study spreads its blocks.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -24,7 +25,7 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     yield independent streams. Negative seeds are reduced modulo 2**64.
 
     Args:
-        seed: Master seed (any Python int; interpreted as 64-bit).
+        seed: Master seed, any integer (numpy's too), interpreted as 64-bit.
         *key: Zero or more non-negative task indices, e.g. a replication
             index, mixed into the stream identity.
 
@@ -33,5 +34,5 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     """
     import numpy as np
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=tuple(key))
+        np.random.SeedSequence(entropy=operator.index(seed) & _MASK64, spawn_key=tuple(key))
     )

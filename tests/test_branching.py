@@ -1,6 +1,7 @@
 """Branching-process layer: closed forms, bounds, and exact sampling laws."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -15,6 +16,7 @@ from bactipot import (
     CountOverflowError,
     GrowthParams,
     InvalidParameterError,
+    McStudyConfig,
     MeasurementConfig,
     OffspringDistribution,
     PipelineConfig,
@@ -30,8 +32,11 @@ from bactipot import (
     mean_total_bounds,
     mean_total_derivative,
     mean_total_from_mean,
+    log_spaced_grid,
+    run_mc_study,
     simulate,
     simulate_batch,
+    simulate_experiment,
     spawn_rng,
 )
 from bactipot.branching import advance
@@ -483,6 +488,55 @@ class TestGenerationRange:
         minimum, run = GENERATION_COUNT_USERS[name]
         run(minimum)
         run(1023)
+
+
+def tiny_study(**overrides):
+    fields = dict(params=GrowthParams(10, 1), grid=[0.25, 0.5], measurement=MeasurementConfig(),
+                  n_measurements=2, seed=0)
+    return McStudyConfig(**{**fields, **overrides})
+
+
+#: Each integer parameter, by a call that takes it, with the name its
+#: messages use: two is valid for every one of them.
+INTEGER_USERS = {
+    "simulate-x0": ("x0", lambda v: simulate(v, dist_from_mean(2.0), 2, spawn_rng(0))),
+    "simulate_batch-x0": (
+        "x0", lambda v: simulate_batch(v, dist_from_mean(2.0), 2, 3, spawn_rng(0))
+    ),
+    "simulate_batch-replicates": (
+        "replicates", lambda v: simulate_batch(1, dist_from_mean(2.0), 2, v, spawn_rng(0))
+    ),
+    "simulate_experiment-x0": ("x0", lambda v: simulate_experiment(
+        GrowthParams(10, 1), [0.25], MeasurementConfig(x0=v), spawn_rng(0))),
+    "MeasurementConfig-n_generations": (
+        "n_generations", lambda v: MeasurementConfig(n_generations=v)
+    ),
+    "MeasurementConfig-replicates": ("replicates", lambda v: MeasurementConfig(replicates=v)),
+    "PipelineConfig-x0": ("x0", lambda v: PipelineConfig(2.0, 2**-7, v)),
+    "estimate_calibration-x0": ("x0", lambda v: estimate_calibration([-14.0], v)),
+    "mean_total_from_mean": ("n_generations", lambda v: mean_total_from_mean(1.0, v)),
+    "invert_mean_total": ("n_generations", lambda v: invert_mean_total(3.0, v)),
+    "estimate_offspring_mean": (
+        "n_generations", lambda v: estimate_offspring_mean([-14.0], 0.0, 10**4, v)
+    ),
+    "k_factor": ("n_generations", lambda v: k_factor(2**-4, GrowthParams(10, 1), v, 0.2)),
+    "McStudyConfig-n_measurements": ("n_measurements", lambda v: tiny_study(n_measurements=v)),
+    "McStudyConfig-seed": ("seed", lambda v: tiny_study(seed=v)),
+    "run_mc_study-workers": ("workers", lambda v: run_mc_study(tiny_study(), workers=v)),
+    "log_spaced_grid-points": ("points", lambda v: log_spaced_grid(1, 2, v)),
+}
+
+
+@pytest.mark.parametrize("case", INTEGER_USERS)
+def test_integer_parameters_take_integers_only(case):
+    # one rule, operator.index's: a float is refused even when it is integral
+    name, run = INTEGER_USERS[case]
+    for value in (2.5, 2.0, 1e4):
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            run(value)
+    run(2)
+    run(np.int64(2))
 
 
 class TestSimulateBatch:

@@ -94,7 +94,8 @@ class TestRunMcStudy:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
     def test_each_block_thread_is_held_to_one_cpu(self, monkeypatch):
-        # and the caller's own CPU set comes back unchanged
+        # each worker holds itself to one CPU; the caller, which runs no block,
+        # ends the study with the CPU set it started with
         allowed = os.sched_getaffinity(0)
         held = []
         synthesize = harness.synthesize_plates
@@ -110,6 +111,25 @@ class TestRunMcStudy:
             assert held == [allowed] * 5
         else:
             assert len(held) == 5 and all(len(cpus) == 1 and cpus <= allowed for cpus in held)
+
+    @pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+        reason="fewer than 2 usable CPUs",
+    )
+    def test_the_callers_cpu_set_is_left_alone(self, monkeypatch):
+        # read from inside every block: the caller is never held to one CPU
+        caller = threading.get_native_id()
+        allowed = os.sched_getaffinity(caller)
+        seen = []
+        synthesize = harness.synthesize_plates
+
+        def recorded(*args):
+            seen.append(os.sched_getaffinity(caller))
+            return synthesize(*args)
+
+        monkeypatch.setattr(harness, "synthesize_plates", recorded)
+        run_mc_study(study_config(n_measurements=MC_BLOCK * 4 + 13))
+        assert seen == [allowed] * 5
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_the_lowest_failing_block_raises(self, monkeypatch, cpus):
@@ -131,6 +151,11 @@ class TestRunMcStudy:
         with pytest.raises(InvalidParameterError, match="^block 2$"):
             run_mc_study(config)
         assert threading.active_count() == before
+
+    def test_a_moment_past_the_float_range_raises_no_warning(self):
+        # at alpha = beta = 0.05 some fitted MICs reach ~1e271, whose squared errors overflow
+        report = run_mc_study(study_config(params=GrowthParams(0.05, 0.05), seed=0))
+        assert not math.isfinite(report.emp_var_theta) and math.isfinite(report.emp_var_alpha)
 
     def test_worker_count_is_validated(self):
         with pytest.raises(InvalidParameterError):

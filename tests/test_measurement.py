@@ -213,12 +213,29 @@ class TestDatasetType:
             ((0.25, 0, -10.0), "replicate must be >= 1, got 0"),
             ((0.25, 1, math.nan), "ct must be finite, got nan"),
             ((-0.25, 1, -10.0), "concentration must be finite and positive, got -0.25"),
+            # a replicate is an integer: a float or a digit string once wrote
+            # a plate that read_dataset refused
+            ((0.25, 1.5, -10.0), "replicate must be an integer, got 1.5"),
+            ((0.25, 1.0, -10.0), "replicate must be an integer, got 1.0"),
+            ((0.25, "1", -10.0), "replicate must be an integer, got '1'"),
         ],
-        ids=["zero-replicate", "nan-ct", "negative-concentration"],
+        ids=["zero-replicate", "nan-ct", "negative-concentration", "fractional-replicate",
+             "float-replicate", "text-replicate"],
     )
     def test_row_rules_are_checked_by_the_dataset(self, row, message):
-        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             plate([(0.5, 1, -9.0), row])
+        # the first faulty row is named, whichever rule the later one breaks
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            plate([(0.5, np.int64(1), -9.0), row, (-1.0, 2.5, math.nan)])
+
+    @pytest.mark.parametrize("replicate", [True, np.int64(2), np.uint8(3), 4])
+    def test_an_integer_replicate_is_held_as_an_int_and_reads_back(self, replicate):
+        dataset = plate([(0.25, replicate, -10.0), (0.5, 1, -9.0)])
+        assert type(dataset.replicate[0]) is int and dataset.replicate[0] == replicate
+        buffer = io.StringIO()
+        write_dataset(dataset, buffer)
+        assert read_dataset(io.StringIO(buffer.getvalue())) == dataset
 
     def test_grouped_returns_a_copy(self):
         dataset = plate([(0.25, 1, -2.0), (0.5, 1, -1.0)])
@@ -442,7 +459,7 @@ class TestCsvErrors:
         check = measurement._check_columns
         def counted(*columns):
             checked.append(tuple(map(tuple, columns[:3])))
-            check(*columns)
+            return check(*columns)
 
         monkeypatch.setattr(measurement, "_check_columns", counted)
         text = "concentration,replicate,ct\n0.25,1,-10.5\n0.25,2,-10.6\n0.5,1,-9.0\n"
