@@ -29,7 +29,6 @@ written, a closed stdout or running out of memory, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -42,6 +41,7 @@ from .branching import (
     GrowthParams,
     OffspringDistribution,
     dist_from_mean,
+    mean_from_concentration,
     simulate,
     simulate_batch,
 )
@@ -49,7 +49,6 @@ from .errors import BactipotError, InvalidParameterError
 from .harness import (
     McStudyConfig,
     PipelineConfig,
-    emit_curve,
     evaluate_designs,
     fit_dataset,
     log_spaced_grid,
@@ -109,14 +108,20 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a prefix of a flag, "--a" of "--alpha", is not that flag
     parser = argparse.ArgumentParser(
         prog="bactipot",
         description="Branching-process dose-response modeling and MIC estimation.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
     defaults = MeasurementConfig()
 
-    p = sub.add_parser("simulate", help="simulate branching-process trajectories")
+    p = command("simulate", help="simulate branching-process trajectories")
     group = p.add_argument_group("offspring distribution (either --m or --p0/--p1/--p2)")
     group.add_argument("--m", type=float, help="offspring mean for the death-or-divide rule")
     group.add_argument("--p0", type=float, help="death probability")
@@ -128,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=True)
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("synth", help="synthesize a Ct dataset")
+    p = command("synth", help="synthesize a Ct dataset")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--grid", required=True, help="comma-separated concentrations")
@@ -145,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=True)
     p.set_defaults(handler=_cmd_synth)
 
-    p = sub.add_parser("fit", help="fit a Ct dataset end to end")
+    p = command("fit", help="fit a Ct dataset end to end")
     p.add_argument("--input", required=True, help="dataset CSV path, or - for stdin")
     p.add_argument("--high-c", required=True, help="growth-suppressed threshold concentration")
     p.add_argument("--low-c", required=True, help="free-growth lane concentration")
@@ -158,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, timestamp=True)
     p.set_defaults(handler=_cmd_fit)
 
-    p = sub.add_parser("mc-study", help="Monte Carlo estimator validation")
+    p = command("mc-study", help="Monte Carlo estimator validation")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--grid", required=True)
@@ -177,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # mc-study takes no --a: its plates keep the default calibration constant
     p.set_defaults(handler=_cmd_mc_study, a=defaults.a)
 
-    p = sub.add_parser("design-eval", help="rank concentration designs analytically")
+    p = command("design-eval", help="rank concentration designs analytically")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--gens", type=int, default=defaults.n_generations)
@@ -191,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, pretty=True)
     p.set_defaults(handler=_cmd_design_eval)
 
-    p = sub.add_parser("curve", help="tabulate a dose-response curve")
+    p = command("curve", help="tabulate a dose-response curve")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--range", required=True, help="concentration span LOW:HIGH")
@@ -314,10 +319,9 @@ def _cmd_curve(args: argparse.Namespace) -> str:
     low, high = _parse_range(args.range, "--range")
     if args.points < 2:
         raise UsageError(f"--points must be >= 2, got {args.points}")
-    rows = emit_curve(
-        GrowthParams(args.alpha, args.beta), log_spaced_grid(low, high, args.points)
-    )
-    return _csv(["concentration", "offspring_mean"], [[repr(c), repr(m)] for c, m in rows])
+    params = GrowthParams(args.alpha, args.beta)
+    rows = [(c, mean_from_concentration(params, c)) for c in log_spaced_grid(low, high, args.points)]
+    return _csv(["concentration", "offspring_mean"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +430,9 @@ def _sig3(value: float) -> str:
 
 
 def _csv(header: Sequence, rows: Iterable[Sequence]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+    # joined by hand, as write_dataset is: no cell holds a comma, quote or
+    # newline, and str writes a float as repr does
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
 
 
 def _table(rows: Sequence[Sequence[str]]) -> str:
@@ -445,7 +447,7 @@ def _design_cells(rows, number, sep: str, blank: str, ok: str):
     # one row of cells per design, for both the CSV and the --pretty table
     for row in rows:
         design = sep.join(number(c) for c in row.design)
-        if row.singular:
+        if row.covariance is None:
             yield (design, blank, blank, blank, blank, "singular")
         else:
             cov = row.covariance

@@ -196,10 +196,6 @@ class DesignEvaluation(NamedTuple):
     covariance: AsymptoticCovariance | None
     best: bool
 
-    @property
-    def singular(self) -> bool:
-        return self.covariance is None
-
 
 # ---------------------------------------------------------------------------
 # Monte Carlo study
@@ -329,22 +325,19 @@ def evaluate_designs(
     containing a lane whose offspring mean sits on the boundary are marked
     singular rather than failing the whole table.
     """
-    rows: list[tuple[tuple[float, ...], AsymptoticCovariance | None]] = []
-    for design in designs:
-        key = tuple(design)
+    rows = []
+    for design in map(tuple, designs):
         try:
-            rows.append((key, asymptotic_covariance(key, params, n_generations, sigma_eps)))
+            rows.append((design, asymptotic_covariance(design, params, n_generations, sigma_eps)))
         except SingularDesignError:
-            rows.append((key, None))
-    best_index = -1
-    best_value = math.inf
-    for i, (_, cov) in enumerate(rows):
-        if cov is not None and cov.sigma2_theta < best_value:
-            best_index, best_value = i, cov.sigma2_theta
-    return [
-        DesignEvaluation(design, cov, best=(i == best_index))
-        for i, (design, cov) in enumerate(rows)
-    ]
+            rows.append((design, None))
+    # min keeps the first of equal variances
+    best = min(
+        (i for i, (_, cov) in enumerate(rows) if cov is not None),
+        key=lambda i: rows[i][1].sigma2_theta,
+        default=None,
+    )
+    return [DesignEvaluation(design, cov, i == best) for i, (design, cov) in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +358,7 @@ def fit_dataset(dataset: CtDataset, pipeline: PipelineConfig) -> PipelineFit:
         InsufficientDataError: if the thresholds select no lanes, the
             generation estimate is degenerate, or too few lanes survive
             selection for the regression.
+        SingularDesignError: if the fitted slope ``beta_hat`` is not positive.
     """
     groups = dataset.grouped()
     if not groups:
@@ -398,6 +392,11 @@ def fit_dataset(dataset: CtDataset, pipeline: PipelineConfig) -> PipelineFit:
         for c, cts in groups.items()
     )
     fit = fit_dose_response(estimates, concentrations=pipeline.fit_concentrations)
+    if not fit.beta_hat > 0.0:
+        raise SingularDesignError(
+            f"fitted slope beta_hat {fit.beta_hat!r} is not positive: the offspring mean "
+            "does not fall with concentration on the fitted lanes"
+        )
 
     fitted = GrowthParams(fit.alpha_hat, fit.beta_hat)
     residuals = tuple(
@@ -431,15 +430,6 @@ def fit_dataset(dataset: CtDataset, pipeline: PipelineConfig) -> PipelineFit:
 # ---------------------------------------------------------------------------
 # Fitted-curve tabulation
 # ---------------------------------------------------------------------------
-
-
-def emit_curve(params: GrowthParams, concentrations: Sequence[float]) -> list[tuple[float, float]]:
-    """Tabulate the dose-response curve at the given concentrations.
-
-    Output is ``(concentration, offspring mean)`` pairs, strictly decreasing
-    in the mean as concentration grows.
-    """
-    return [(c, mean_from_concentration(params, c)) for c in concentrations]
 
 
 def log_spaced_grid(low: float, high: float, points: int = 200) -> list[float]:

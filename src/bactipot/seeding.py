@@ -12,6 +12,8 @@ from __future__ import annotations
 import operator
 from typing import TYPE_CHECKING
 
+from .branching import _check_integer
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -31,8 +33,15 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
 
     Returns:
         A freshly seeded ``numpy.random.Generator``.
+
+    Raises:
+        InvalidParameterError: if the seed or a key index is not an integer,
+            or a key index is negative.
     """
+    _check_integer("seed", seed)
+    for index in key:
+        _check_integer("key index", index, minimum=0)
     import numpy as np
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=operator.index(seed) & _MASK64, spawn_key=tuple(key))
+        np.random.SeedSequence(entropy=operator.index(seed) & _MASK64, spawn_key=key)
     )

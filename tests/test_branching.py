@@ -524,6 +524,8 @@ INTEGER_USERS = {
     "McStudyConfig-seed": ("seed", lambda v: tiny_study(seed=v)),
     "run_mc_study-workers": ("workers", lambda v: run_mc_study(tiny_study(), workers=v)),
     "log_spaced_grid-points": ("points", lambda v: log_spaced_grid(1, 2, v)),
+    "spawn_rng-seed": ("seed", lambda v: spawn_rng(v)),
+    "spawn_rng-key": ("key index", lambda v: spawn_rng(1, 0, v)),
 }
 
 
@@ -537,6 +539,12 @@ def test_integer_parameters_take_integers_only(case):
             run(value)
     run(2)
     run(np.int64(2))
+
+
+def test_spawn_rng_reduces_a_negative_seed_and_refuses_a_negative_key():
+    assert spawn_rng(-1).integers(2**62) == spawn_rng(2**64 - 1).integers(2**62)
+    with pytest.raises(InvalidParameterError, match=r"^key index must be >= 0, got -1$"):
+        spawn_rng(1, -1)
 
 
 class TestSimulateBatch:

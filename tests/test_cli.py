@@ -143,8 +143,17 @@ class TestSimulate:
                 "11,16239,10521,26760\n"
                 "12,21078,13798,34876\n",
             ),
+            (
+                "--m 1.73 --x0 10000 --gens 10 --reps 5 --seed 7",
+                "replicate,alive,dead,total\n"
+                "1,2408372,444336,2852708\n"
+                "2,2410696,442760,2853456\n"
+                "3,2386552,440946,2827498\n"
+                "4,2412536,444333,2856869\n"
+                "5,2387744,441093,2828837\n",
+            ),
         ],
-        ids=["death-or-divide", "general-law"],
+        ids=["death-or-divide", "general-law", "replicates"],
     )
     def test_seeded_trajectory_bytes(self, run, args, expected):
         # a single seeded trajectory keeps its exact bytes
@@ -562,6 +571,55 @@ class TestDesignEval:
         assert len(rows) == 4
         assert [r[5] for r in rows[1:]] == ["best", "ok", "ok"]
 
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (
+                "--alpha 1e300 --beta 1 --designs 2^-6,2^-4,2^-2;1,2,4",
+                "design,sigma2_alpha,sigma_alphabeta,sigma2_beta,sigma2_theta,status\n"
+                "0.015625 0.0625 0.25,,,,,singular\n"
+                "1.0 2.0 4.0,,,,,singular\n",
+            ),
+            (
+                "--alpha 1e300 --beta 1 --designs 2^-6,2^-4,2^-2;1,2,4 --pretty",
+                "design                s2_alpha  s_alphabeta  s2_beta  s2_theta  status\n"
+                "0.0156, 0.0625, 0.25  -         -            -        -         singular\n"
+                "1, 2, 4               -         -            -        -         singular\n",
+            ),
+            (
+                # equal variances: the first design stays best
+                "--alpha 10 --beta 1 --sigma-eps 0 --designs 2^-6,2^-4,2^-2;2^-2,2^-1,1",
+                "design,sigma2_alpha,sigma_alphabeta,sigma2_beta,sigma2_theta,status\n"
+                "0.015625 0.0625 0.25,0.0,0.0,0.0,0.0,best\n"
+                "0.25 0.5 1.0,0.0,0.0,0.0,0.0,ok\n",
+            ),
+            (
+                "--alpha 10 --beta 1 --sigma-eps 0 --designs 2^-6,2^-4,2^-2;2^-2,2^-1,1 --pretty",
+                "design                s2_alpha  s_alphabeta  s2_beta  s2_theta  status\n"
+                "0.0156, 0.0625, 0.25  0         0            0        0         best\n"
+                "0.25, 0.5, 1          0         0            0        0\n",
+            ),
+            (
+                "--alpha 10 --beta 1 --designs 2^-6,2^-4,2^-2;2^-6,2^-4,2^-2",
+                "design,sigma2_alpha,sigma_alphabeta,sigma2_beta,sigma2_theta,status\n"
+                "0.015625 0.0625 0.25,8.632510717437967,0.24959896443258844,"
+                "0.007668528239327162,0.00012038291610772766,best\n"
+                "0.015625 0.0625 0.25,8.632510717437967,0.24959896443258844,"
+                "0.007668528239327162,0.00012038291610772766,ok\n",
+            ),
+            (
+                "--alpha 10 --beta 1 --designs 2^-6,2^-4,2^-2;2^-6,2^-4,2^-2 --pretty",
+                "design                s2_alpha  s_alphabeta  s2_beta  s2_theta  status\n"
+                "0.0156, 0.0625, 0.25  8.63      0.25         0.00767  0.00012   best\n"
+                "0.0156, 0.0625, 0.25  8.63      0.25         0.00767  0.00012\n",
+            ),
+        ],
+        ids=["singular", "singular-pretty", "zero", "zero-pretty", "twice", "twice-pretty"],
+    )
+    def test_output_bytes_are_pinned(self, run, args, expected):
+        status, out, _ = run("design-eval", *args.split())
+        assert status == 0 and out == expected
+
     def test_pretty_table(self, run):
         status, out, _ = run(
             "design-eval", "--alpha", "10", "--beta", "1",
@@ -707,12 +765,15 @@ class TestFlags:
         [
             ("simulate", "--pretty"),
             ("simulate", "--no-timestamp"),
+            ("simulate", "--se"),
             ("synth", "--pretty"),
             ("synth", "--no-timestamp"),
             ("fit", "--seed"),
             ("fit", "--pretty"),
             ("design-eval", "--seed"),
             ("design-eval", "--no-timestamp"),
+            ("design-eval", "--a"),
+            ("curve", "--a"),
             ("curve", "--seed"),
             ("curve", "--pretty"),
             ("curve", "--no-timestamp"),

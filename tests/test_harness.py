@@ -19,10 +19,11 @@ from bactipot import (
     MeasurementConfig,
     PipelineConfig,
     SingularDesignError,
-    emit_curve,
     evaluate_designs,
     fit_dataset,
     log_spaced_grid,
+    mean_from_concentration,
+    mean_total_from_mean,
     mic,
     run_mc_study,
     simulate_experiment,
@@ -268,15 +269,14 @@ class TestEvaluateDesigns:
         rows = evaluate_designs(
             [REFERENCE_DESIGN, (1e200, 2e200)], GrowthParams(10, 2), 10, 0.2
         )
-        assert not rows[0].singular and rows[1].singular
-        assert rows[1].covariance is None and rows[0].best
+        assert rows[0].covariance is not None and rows[1].covariance is None
+        assert [row.best for row in rows] == [True, False]
 
-    def test_singular_follows_the_covariance(self):
-        [row] = evaluate_designs([REFERENCE_DESIGN], GrowthParams(10, 1), 10, 0.2)
-        assert not row.singular
-        assert DesignEvaluation(REFERENCE_DESIGN, None, best=False).singular
-        with pytest.raises(TypeError):
-            DesignEvaluation(REFERENCE_DESIGN, row.covariance, singular=True, best=False)
+    def test_first_of_equal_designs_is_best(self):
+        rows = evaluate_designs([REFERENCE_DESIGN] * 2, GrowthParams(10, 1), 10, 0.2)
+        assert rows[0].covariance == rows[1].covariance
+        assert [row.best for row in rows] == [True, False]
+        assert DesignEvaluation._fields == ("design", "covariance", "best")
 
     def test_zero_noise_rows_are_zero(self):
         rows = evaluate_designs([REFERENCE_DESIGN], GrowthParams(10, 1), 10, 0.0)
@@ -355,6 +355,20 @@ class TestFitDataset:
         assert result.sigma_eps_hat == pytest.approx(math.sqrt(2) * spread)
         assert result.fit.mic_hat == pytest.approx(0.1, rel=1e-2)
         assert result.covariance is None and result.to_dict()["covariance"] is None
+
+    def test_rising_mean_fails_on_the_fitted_slope(self):
+        # the fitted lanes' means rise with concentration (0.5, 0.9, 1.3), so the
+        # slope comes out negative: the error names beta_hat, not GrowthParams
+        a, x0, n = 20.0, 10**4, 10
+        lanes = [(2**-8, 2.0), (2**-3, 0.5), (2**-2, 0.9), (2**-1, 1.3), (2.0, 0.0), (4.0, 0.0)]
+        rows = []
+        for c, m in lanes:
+            ct = a - math.log2(x0 * mean_total_from_mean(m, n))
+            rows += [(c, 1, ct - 0.1), (c, 2, ct + 0.1)]
+        pipeline = PipelineConfig(high_c_threshold=2.0, low_c_choice=2**-8, x0=x0)
+        message = r"^fitted slope beta_hat -1\.239\d* is not positive: the offspring mean"
+        with pytest.raises(SingularDesignError, match=message):
+            fit_dataset(plate(rows), pipeline)
 
     def test_single_seed_realistic_run(self):
         dataset = synthetic_dataset(seed=11)
@@ -499,13 +513,15 @@ class TestFitDataset:
 
 
 class TestEmitCurve:
+    """The ``curve`` table: ``mean_from_concentration`` over ``log_spaced_grid``."""
+
     def test_unit_mean_at_the_mic(self):
-        [(_, value)] = emit_curve(GrowthParams(10.0, 1.0), [mic(10.0, 1.0)])
+        value = mean_from_concentration(GrowthParams(10.0, 1.0), mic(10.0, 1.0))
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_approaches_free_growth_at_low_concentration(self):
-        rows = emit_curve(GrowthParams(10, 1), log_spaced_grid(2**-9, 1.0, 50))
-        values = [m for _, m in rows]
+        params = GrowthParams(10, 1)
+        values = [mean_from_concentration(params, c) for c in log_spaced_grid(2**-9, 1.0, 50)]
         assert values[0] == pytest.approx(1.96, abs=0.005)
         assert values[-1] == pytest.approx(0.18, abs=0.005)
         assert all(b < a for a, b in zip(values, values[1:]))
