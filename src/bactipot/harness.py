@@ -56,6 +56,8 @@ if TYPE_CHECKING:
 #: repetitions ``[b * MC_BLOCK, (b + 1) * MC_BLOCK)`` and draws everything
 #: from ``spawn_rng(seed, b)``; changing it changes every report.
 MC_BLOCK = 250
+# rows inverted and fitted per pass, whole blocks to bound the temporaries
+_FIT_CHUNK = 16 * MC_BLOCK
 
 
 class McStudyConfig(_checked_record("params grid measurement n_measurements seed")):
@@ -209,14 +211,15 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
     offspring mean per lane with the known calibration constant and
     generation count, and refits the dose-response parameters on the full
     grid, as array work in blocks of ``MC_BLOCK`` repetitions: one
-    ``simulate_batch`` call grows every well of a block, and the Ct
-    synthesis, inversion and fit each run once over its ``(repetitions,
-    lanes)`` mean-Ct matrix. Worker threads run the blocks, up to one per
-    CPU and each held to its own; the caller runs none, and its CPU set is
-    never changed. Block ``b`` draws from ``spawn_rng(seed, b)`` and fills
-    only its rows, so the report is a function of ``config`` alone, on any
-    CPU count. Failed fits are counted; a block that raises fails the study,
-    lowest block first.
+    ``simulate_batch`` call grows every well of a block, and its Ct
+    synthesis fills the block's rows of a ``(repetitions, lanes)`` mean-Ct
+    matrix. Worker threads run the blocks, up to one per CPU and each held
+    to its own; the caller starts and joins them, its CPU set never changed,
+    then inverts and fits the rows, whole blocks per pass. Block ``b`` draws
+    from ``spawn_rng(seed, b)``, so the report is a function of ``config``
+    alone, on any CPU count. Failed fits and slopes <= 0 are counted. A
+    block whose synthesis raises fails the study, lowest block first, before
+    any inversion; an inversion fault is raised after every block ran.
 
     Args:
         config: Study definition.
@@ -235,7 +238,7 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
     theoretical = asymptotic_covariance(config.grid, config.params, m.n_generations, m.sigma_eps)
     means = [mean_from_concentration(config.params, c) for c in config.grid]
     total = config.n_measurements
-    results = np.empty((total, 3))
+    mean_cts = np.empty((total, len(config.grid)))
     n_blocks = -(-total // MC_BLOCK)
     allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     # one worker per CPU, held to it: left free, two can share a CPU for
@@ -256,9 +259,7 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
             start, stop = block * MC_BLOCK, min((block + 1) * MC_BLOCK, total)
             try:
                 rng = spawn_rng(config.seed, block)
-                mean_cts = synthesize_plates(means, m, stop - start, rng).mean(axis=2)
-                m_hats = estimate_offspring_means(mean_cts, m.a, m.x0, m.n_generations)
-                results[start:stop] = fit_dose_response_rows(m_hats, config.grid)
+                mean_cts[start:stop] = synthesize_plates(means, m, stop - start, rng).mean(axis=2)
             except Exception as exc:
                 errors[block] = exc
 
@@ -270,7 +271,13 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
     if errors:
         raise errors[min(errors)]
 
-    ok = ~np.isnan(results[:, 0])
+    # after the join, so no worker's kernel waits on the interpreter lock for these
+    results = np.empty((total, 3))
+    for start in range(0, total, _FIT_CHUNK):
+        rows = slice(start, start + _FIT_CHUNK)
+        m_hats = estimate_offspring_means(mean_cts[rows], m.a, m.x0, m.n_generations)
+        results[rows] = fit_dose_response_rows(m_hats, config.grid)
+    ok = results[:, 1] > 0.0  # a failed fit is NaN; fit_dataset refuses a slope <= 0
     failures = int(total - ok.sum())
     alphas, betas, thetas = results[ok, 0], results[ok, 1], results[ok, 2]
 

@@ -508,11 +508,12 @@ class TestMcStudy:
         assert run(*argv)[1] == run(*argv)[1]
 
     def test_too_few_successes_is_strict_json(self, run):
-        # 4 of 5 fits fail, so the empirical moments are undefined
+        # 4 of 5 fits fail, so the empirical moments are undefined; the one
+        # success has a positive slope
         status, out, _ = run(
             "mc-study",
             "--alpha", "10", "--beta", "1",
-            "--grid", "1e6,2e6", "--measurements", "5", "--no-timestamp",
+            "--grid", "2,4", "--measurements", "5", "--seed", "2", "--no-timestamp",
         )
         assert status == 0
 
@@ -522,7 +523,21 @@ class TestMcStudy:
         payload = json.loads(out, parse_constant=reject)
         assert payload["failures"] == 4
         assert payload["emp_var_alpha"] is None
-        assert payload["mean_alpha"] is not None
+        assert payload["mean_alpha"] is not None and payload["mean_beta"] > 0
+
+    def test_a_non_positive_slope_is_a_failure(self, run):
+        # sigma_eps 2 on two close lanes: 53 fits fail outright and 74 more fit a
+        # slope <= 0, which fit_dataset refuses; the study counts both as failures
+        status, out, _ = run(
+            "mc-study",
+            "--alpha", "10", "--beta", "1",
+            "--grid", "2^-6,2^-5", "--sigma-eps", "2", "--reps", "1",
+            "--measurements", "250", "--seed", "0", "--no-timestamp",
+        )
+        assert status == 0
+        payload = json.loads(out)
+        assert payload["failures"] == 127
+        assert payload["mean_beta"] == pytest.approx(1.5904, abs=1e-4)
 
     def test_zero_threads_is_usage_error(self, run):
         status, _, err = run(

@@ -153,6 +153,60 @@ class TestRunMcStudy:
             run_mc_study(config)
         assert threading.active_count() == before
 
+    def test_the_fit_passes_change_no_bit(self, monkeypatch):
+        # one pass of whole blocks and a short one after it; one pass per
+        # block, as the blocks once fit their own rows, gives the same bytes
+        chunk = harness._FIT_CHUNK
+        config = study_config(n_measurements=chunk + 13)
+        passes = []
+        estimate = harness.estimate_offspring_means
+
+        def recorded(mean_cts, *args):
+            passes.append(len(mean_cts))
+            return estimate(mean_cts, *args)
+
+        monkeypatch.setattr(harness, "estimate_offspring_means", recorded)
+        chunked = json.dumps(run_mc_study(config).to_dict())
+        assert passes == [chunk, 13]
+        passes.clear()
+        monkeypatch.setattr(harness, "_FIT_CHUNK", MC_BLOCK)
+        per_block = json.dumps(run_mc_study(config).to_dict())
+        assert passes == [MC_BLOCK] * (chunk // MC_BLOCK) + [13]
+        assert chunked == per_block
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("also_failing", [(), (3,)], ids=["nan-only", "and-block-3"])
+    def test_the_rows_are_inverted_after_every_block_ran(self, monkeypatch, cpus, also_failing):
+        # block 1 synthesizes a NaN Ct, which only the inversion refuses: every
+        # block still runs, and the inversion's error comes out after the join,
+        # unless a block's synthesis raised, which then wins
+        config = study_config(n_measurements=MC_BLOCK * 4 + 13)
+        states = [repr(spawn_rng(config.seed, b).bit_generator.state) for b in range(5)]
+        ran = []
+        synthesize = harness.synthesize_plates
+
+        def poisoned(means, measurement, count, rng):
+            block = states.index(repr(rng.bit_generator.state))
+            ran.append(block)
+            if block in also_failing:
+                raise InvalidParameterError(f"block {block}")
+            cts = synthesize(means, measurement, count, rng)
+            if block == 1:
+                cts[0, 0, 0] = math.nan
+            return cts
+
+        monkeypatch.setattr(harness, "synthesize_plates", poisoned)
+        self.on_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        message = "^block 3$" if also_failing else re.escape("a - log2(x0) - mean_ct is NaN for some lane")
+        with pytest.raises(InvalidParameterError, match=message):
+            run_mc_study(config)
+        if also_failing:  # every block below the failing one ran
+            assert {0, 1, 2, 3} <= set(ran)
+        else:
+            assert sorted(ran) == [0, 1, 2, 3, 4]
+        assert threading.active_count() == before
+
     def test_a_moment_past_the_float_range_raises_no_warning(self):
         # at alpha = beta = 0.05 some fitted MICs reach ~1e271, whose squared errors overflow
         report = run_mc_study(study_config(params=GrowthParams(0.05, 0.05), seed=0))
