@@ -81,7 +81,7 @@ class MeanEstimate(NamedTuple):
 class FitResult(NamedTuple):
     """Least-squares dose-response fit and the implied MIC.
 
-    ``mic_hat`` is exactly ``alpha_hat ** (-1/beta_hat)``. ``excluded`` lists
+    ``mic_hat`` is exactly ``mic(alpha_hat, beta_hat)``. ``excluded`` lists
     ``(concentration, reason)`` pairs for lanes left out of the regression.
     """
 
@@ -302,6 +302,8 @@ def fit_dose_response(
             not a grid that ``measurement.check_grid`` accepts.
         InsufficientDataError: if fewer than two usable lanes remain; the
             message names the excluded lanes and reasons.
+        SingularDesignError: if the fitted slope ``beta_hat`` is not
+            positive, or the fit leaves the floating-point range.
     """
     ordered = sorted(estimates, key=lambda e: e.concentration)
     cs = [e.concentration for e in ordered]
@@ -336,15 +338,16 @@ def fit_dose_response(
     ls = [math.log(e.concentration) for e in used]
     fs = [math.log(2.0 / e.m_hat - 1.0) for e in used]
     _, _, beta_hat, log_alpha = _fit_line(ls, fs, [1.0] * len(used), math.fsum)
-    if beta_hat == 0.0:
-        raise SingularDesignError("flat response: fitted slope is exactly zero")
+    if not beta_hat > 0.0:
+        raise SingularDesignError(
+            f"fitted slope beta_hat {beta_hat!r} is not positive: the offspring mean "
+            "does not fall with concentration on the fitted lanes"
+        )
     try:
         alpha_hat = math.exp(log_alpha)
-        mic_hat = alpha_hat ** (-1.0 / beta_hat)
-    except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: alpha_hat underflowed to 0
-        mic_hat = math.nan
-    if not 0.0 < mic_hat < math.inf:  # also a MIC that underflowed to 0
-        raise SingularDesignError("degenerate fit: parameters leave the floating-point range")
+        mic_hat = mic(alpha_hat, beta_hat)
+    except (OverflowError, InvalidParameterError):  # alpha_hat or the MIC out of range
+        raise SingularDesignError("degenerate fit: parameters leave the floating-point range") from None
     return FitResult(
         alpha_hat=alpha_hat,
         beta_hat=beta_hat,
@@ -371,8 +374,8 @@ def fit_dose_response_rows(
     Returns:
         Array of shape ``(rows, 3)`` holding ``(alpha_hat, beta_hat,
         mic_hat)`` per row, NaN in rows where the scalar fit would raise
-        (fewer than two usable lanes, a degenerate design, a flat slope,
-        parameters that overflow or a MIC that underflows to 0).
+        (fewer than two usable lanes, a degenerate design, a slope that is
+        not positive, parameters that overflow or a MIC that underflows to 0).
     """
     import numpy as np
     m_hats = np.asarray(m_hats, dtype=float)
@@ -384,7 +387,7 @@ def fit_dose_response_rows(
         alpha = np.exp(log_alpha)
         theta = alpha ** (-1.0 / beta)
     fits = np.stack([alpha, beta, theta], axis=1)
-    ok = (k >= 2) & (d > 0.0) & (beta != 0.0) & (theta > 0.0)
+    ok = (k >= 2) & (d > 0.0) & (beta > 0.0) & (theta > 0.0)
     ok &= np.isfinite(fits).all(axis=1)
     fits[~ok] = math.nan
     return fits
@@ -500,20 +503,16 @@ def _covariance_sums(
         s2a = alpha**2 / d2 * math.fsum(k * k * a * a for k, a in zip(ks, a_terms))
         sab = alpha / d2 * math.fsum(k * k * a * b for k, a, b in zip(ks, a_terms, b_terms))
         s2b = math.fsum(k * k * b * b for k, b in zip(ks, b_terms)) / d2
-        theta = alpha ** (-1.0 / beta)
+        theta = mic(alpha, beta)
         ratio = math.log(alpha) / beta
         t_sum = math.fsum(k * k * (a - ratio * b) ** 2 for k, a, b in zip(ks, a_terms, b_terms))
         s2t = theta**2 / (beta**2 * d2) * t_sum
         sums = (s2a, sab, s2b, s2t)
-        # a MIC, or a MIC variance, that underflowed to 0 would rank a design
-        # by a variance of exactly 0
-        finite = (
-            theta > 0.0
-            and (s2t > 0.0 or t_sum == 0.0)
-            and all(math.isfinite(v) for v in sums)
-        )
-    # ValueError: fsum of opposite infinities; ZeroDivisionError: beta**2 * D**2
-    # underflowed to 0
+        # a MIC variance that underflowed to 0 would rank a design by a
+        # variance of exactly 0
+        finite = (s2t > 0.0 or t_sum == 0.0) and all(math.isfinite(v) for v in sums)
+    # ValueError: fsum of opposite infinities, or mic's InvalidParameterError for
+    # a MIC out of range; ZeroDivisionError: beta**2 * D**2 underflowed to 0
     except (OverflowError, ValueError, ZeroDivisionError):
         finite = False
     if not finite:

@@ -97,9 +97,9 @@ class McStudyReport(NamedTuple):
     Means are plain averages of the fitted parameters over successful
     repetitions. The variance entries are empirical moments of the
     sqrt(replicates)-scaled errors, directly comparable to the entries of
-    ``theoretical``. Repetitions whose fit failed (for example every lane
-    clamped at a boundary) are counted in ``failures`` and excluded from the
-    moments.
+    ``theoretical``. Repetitions whose fit failed (every lane clamped at a
+    boundary, say, or a slope <= 0) are counted in ``failures`` and
+    excluded from the moments.
     """
 
     mean_alpha: float
@@ -217,7 +217,7 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
     to its own; the caller starts and joins them, its CPU set never changed,
     then inverts and fits the rows, whole blocks per pass. Block ``b`` draws
     from ``spawn_rng(seed, b)``, so the report is a function of ``config``
-    alone, on any CPU count. Failed fits and slopes <= 0 are counted. A
+    alone, on any CPU count. Failed fits (a slope <= 0 fails) are counted. A
     block whose synthesis raises fails the study, lowest block first, before
     any inversion; an inversion fault is raised after every block ran.
 
@@ -277,7 +277,7 @@ def run_mc_study(config: McStudyConfig, workers: int = 1) -> McStudyReport:
         rows = slice(start, start + _FIT_CHUNK)
         m_hats = estimate_offspring_means(mean_cts[rows], m.a, m.x0, m.n_generations)
         results[rows] = fit_dose_response_rows(m_hats, config.grid)
-    ok = results[:, 1] > 0.0  # a failed fit is NaN; fit_dataset refuses a slope <= 0
+    ok = ~np.isnan(results[:, 1])  # a failed fit is NaN
     failures = int(total - ok.sum())
     alphas, betas, thetas = results[ok, 0], results[ok, 1], results[ok, 2]
 
@@ -399,12 +399,6 @@ def fit_dataset(dataset: CtDataset, pipeline: PipelineConfig) -> PipelineFit:
         for c, cts in groups.items()
     )
     fit = fit_dose_response(estimates, concentrations=pipeline.fit_concentrations)
-    if not fit.beta_hat > 0.0:
-        raise SingularDesignError(
-            f"fitted slope beta_hat {fit.beta_hat!r} is not positive: the offspring mean "
-            "does not fall with concentration on the fitted lanes"
-        )
-
     fitted = GrowthParams(fit.alpha_hat, fit.beta_hat)
     residuals = tuple(
         CtResidual(

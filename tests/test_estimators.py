@@ -403,11 +403,23 @@ class TestFitDoseResponse:
         with pytest.raises(SingularDesignError):
             fit_dose_response(ests, concentrations=[0.25, 0.5])
 
-    def test_exactly_flat_response_is_singular(self):
-        # m = 1 everywhere gives f = log(2/1 - 1) = 0 and a slope of exactly 0
-        ests = [MeanEstimate(c, 6.0, 1.0, clamped=False) for c in (0.25, 0.5, 1.0)]
-        with pytest.raises(SingularDesignError, match="flat"):
-            fit_dose_response(ests, concentrations=[0.25, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "lanes, message",
+        [
+            # m = 1 everywhere gives f = log(2/1 - 1) = 0 and a slope of exactly 0
+            pytest.param(
+                [(0.25, 1.0), (0.5, 1.0), (1.0, 1.0)],
+                r"^fitted slope beta_hat 0\.0 is not positive",
+                id="flat",
+            ),
+            # a mean that rises with concentration gives a negative slope
+            pytest.param([(0.1, 0.5), (0.2, 1.0)], r"^fitted slope beta_hat -1\.58", id="rising"),
+        ],
+    )
+    def test_exactly_flat_response_is_singular(self, lanes, message):
+        ests = [MeanEstimate(c, 6.0, m, clamped=False) for c, m in lanes]
+        with pytest.raises(SingularDesignError, match=message):
+            fit_dose_response(ests, concentrations=[c for c, _ in lanes])
 
     def test_underflowing_mic_is_singular(self):
         # alpha 1e10, beta 1e-3: the MIC alpha ** (-1/beta) underflows to 0
@@ -479,16 +491,25 @@ class TestFitDoseResponseRows:
         # strided one in order; the fit adds its lanes in order either way
         grid = tuple(2.0**k for k in range(-7, 3))
         rng = spawn_rng(403)
-        m_hats = rng.uniform(0.05, 1.95, size=(3000, len(grid)))
+        # each row falls with concentration, so nearly every fit has a slope > 0
+        m_hats = np.sort(rng.uniform(0.05, 1.95, size=(3000, len(grid))), axis=1)[:, ::-1]
         m_hats[rng.random(m_hats.shape) < 0.1] = 0.0
         by_rows = fit_dose_response_rows(np.ascontiguousarray(m_hats), grid)
         by_lanes = fit_dose_response_rows(np.asfortranarray(m_hats), grid)
         assert by_rows.tobytes() == by_lanes.tobytes()
         assert np.isfinite(by_rows).all(axis=1).mean() > 0.9
 
-    def test_flat_response_fails_like_the_scalar_fit(self):
-        # every lane at m = 1 gives f = 0 everywhere and a zero slope
-        rows = fit_dose_response_rows(np.ones((2, 3)), (0.25, 0.5, 1.0))
+    @pytest.mark.parametrize(
+        "m_hats, grid",
+        [
+            # every lane at m = 1 gives f = 0 everywhere and a zero slope
+            pytest.param(np.ones((2, 3)), (0.25, 0.5, 1.0), id="flat"),
+            # a mean that rises with concentration gives a negative slope
+            pytest.param(np.array([[0.5, 1.0]]), (0.1, 0.2), id="rising"),
+        ],
+    )
+    def test_flat_response_fails_like_the_scalar_fit(self, m_hats, grid):
+        rows = fit_dose_response_rows(m_hats, grid)
         assert np.isnan(rows).all()
 
     def test_underflowing_alpha_fails_like_the_scalar_fit(self):
@@ -814,11 +835,12 @@ generation_counts = st.integers(min_value=1, max_value=1023)
 
 
 def assert_finite_or_package_error(call, *args):
-    """``call(*args)`` gives only finite numbers or raises a ``BactipotError``."""
+    """``call(*args)`` gives only finite numbers or raises a ``BactipotError``.
+    Returns the result, or None if it raised."""
     try:
         result = call(*args)
     except BactipotError:
-        return
+        return None
     if isinstance(result, MeanEstimate):
         values = [result.mu_hat, result.m_hat]
     elif isinstance(result, FitResult):
@@ -834,6 +856,7 @@ def assert_finite_or_package_error(call, *args):
     else:
         values = np.ravel(result).tolist()
     assert all(math.isfinite(v) for v in values), (args, result)
+    return result
 
 
 class TestPublicEstimatorsAreFiniteOrRaise:
@@ -867,7 +890,10 @@ class TestPublicEstimatorsAreFiniteOrRaise:
     )
     def test_fit_dose_response(self, pairs, subset):
         estimates = [MeanEstimate(c, 1.0, m, False) for c, m in pairs]
-        assert_finite_or_package_error(fit_dose_response, estimates, subset)
+        fit = assert_finite_or_package_error(fit_dose_response, estimates, subset)
+        if fit is not None:  # a returned fit is a model point: beta > 0, MIC by mic()
+            assert fit.beta_hat > 0.0, (pairs, subset, fit)
+            assert fit.mic_hat == mic(fit.alpha_hat, fit.beta_hat), (pairs, subset, fit)
 
     @given(finite_floats, finite_floats, finite_floats, generation_counts, finite_floats)
     def test_k_factor(self, c, alpha, beta, n, sigma_eps):
